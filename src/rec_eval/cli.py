@@ -14,16 +14,11 @@ import os
 import sys
 from enum import IntEnum
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import schema_io
 from .datagen import PipelineConfig, SourceRecord, generate
-from .errors import (
-    ClaimNotFoundError,
-    RecError,
-    UnknownContextIdError,
-    UsageError,
-)
+from .errors import ClaimNotFoundError, RecError, UsageError
 from .gateway import (
     CompletionRequest,
     Gateway,
@@ -34,6 +29,7 @@ from .gateway import (
 )
 from .metrics import (
     GoldCitationSet,
+    binary_accuracy,
     citation_prf,
     gold_intersection,
     order_bias,
@@ -41,6 +37,7 @@ from .metrics import (
     win_rate,
 )
 from .model import (
+    CitationMode,
     ContextDocument,
     PairwiseJudgment,
     PresentationOrder,
@@ -57,13 +54,10 @@ from .prompts import (
     build_quality_prompt,
     build_rag_cite_prompt,
 )
-from .render import render_quality, render_rag
-from .verify import (
-    MatchPolicy,
-    parse_match_policy,
-    verify_quality_output,
-    verify_rag_output,
-)
+from .render import RenderedText, render_quality, render_rag
+from .verify import MatchPolicy, check_reply, parse_match_policy
+# Unused here, but bound so a traced benchmark run can wrap them by name.
+from .verify import verify_quality_output, verify_rag_output  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -151,6 +145,14 @@ def _policy(args: argparse.Namespace) -> MatchPolicy:
     return parse_match_policy(args.policy)
 
 
+def _lookup(parse: Callable[[str], Any], name: str) -> Any:
+    """A catalog lookup (metric, citation mode) whose KeyError is a usage error."""
+    try:
+        return parse(name)
+    except KeyError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _load_chunks(path: str) -> list[ContextDocument]:
     """Chunks file: a JSON array or JSONL of {context_id, body} objects."""
     text = _read_text(path)
@@ -188,38 +190,54 @@ def _write_sidecar(path: str | None, payload: dict[str, Any]) -> None:
         fh.write("\n")
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    try:
-        metric = metric_by_name(args.metric)
-    except KeyError as exc:
-        raise UsageError(str(exc)) from exc
-    try:
-        mode = parse_citation_mode(args.mode)
-    except KeyError as exc:
-        raise UsageError(str(exc)) from exc
-    if not mode.valid_for_quality:
-        raise UsageError(f"mode {mode.value} carries no snippets; content-quality evaluation needs them")
-    context = _read_text(args.context)
-    generation = _read_text(args.generation)
-    config = _load_config(args.config)
-    prompt = build_quality_prompt(metric, context, generation, _templates(args))
-    gateway = _make_gateway(args, config)
-    result = gateway.complete(CompletionRequest(prompt=prompt, seed=args.seed))
+def _render(kind: str, value: Any, mode: CitationMode, answer: str | None, chunks: Any) -> RenderedText:
+    # Rendered through these bound names, which a traced benchmark run wraps.
+    if kind == "quality":
+        return render_quality(value, mode)
+    return render_rag(value, answer, chunks)
 
-    parsed, report = schema_io.try_parse_quality_output(result.text)
-    if parsed is None:
-        print(f"evaluator reply failed validation: {report}", file=sys.stderr)
-        _write_sidecar(args.out, {"raw": result.text, "validation": report.to_json_value()})
-        return ExitCode.VALIDATION
-    verification = verify_quality_output(parsed, context, _policy(args))
-    rendered = render_quality(parsed, mode)
+
+def _print_rendered(args: argparse.Namespace, rendered: RenderedText) -> None:
     if args.fmt == "json":
         _print_json(rendered.to_json_value())
     else:
         print(rendered.as_text())
     for warning in rendered.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    if not verification.ok:
+
+
+def _complete_and_check(
+    args: argparse.Namespace,
+    config: dict[str, Any],
+    prompt: Any,
+    kind: str,
+    source: Any,
+    mode: CitationMode,
+    answer: str | None = None,
+) -> int:
+    """Complete one prompt, check the reply, then render, print and write --out."""
+    gateway = _make_gateway(args, config)
+    raw = gateway.complete(CompletionRequest(prompt=prompt, seed=args.seed)).text
+    checked = check_reply(kind, raw, source, mode=mode, answer=answer, policy=_policy(args))
+    verification = checked.verification
+    if verification is None:  # the reply did not parse, or cited an unknown chunk
+        if checked.value is None:
+            who = "evaluator" if kind == "quality" else "citation"
+            print(f"{who} reply failed validation: {checked.validation}", file=sys.stderr)
+        else:
+            print(f"verification failed: {checked.error}", file=sys.stderr)
+        _write_sidecar(args.out, {"raw": raw, "validation": checked.validation.to_json_value()})
+        return ExitCode.VALIDATION
+    try:
+        rendered = _render(kind, checked.value, mode, answer, source)
+    except ClaimNotFoundError as exc:
+        print(f"cannot render: {exc}", file=sys.stderr)
+        print(schema_io.serialize_canonical(checked.value))
+        return ExitCode.VALIDATION
+    _print_rendered(args, rendered)
+    if not verification.ok and kind == "rag":
+        print("verification failed: snippet or claim not verbatim", file=sys.stderr)
+    elif not verification.ok:
         bad = [c.snippet for c in verification.per_citation if not c.result.found]
         print(f"verification failed for {len(bad)} citation(s)", file=sys.stderr)
         for snippet in bad:
@@ -227,9 +245,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _write_sidecar(
         args.out,
         {
-            "raw": result.text,
-            "completion_canonical": schema_io.serialize_canonical(parsed),
-            "validation": report.to_json_value(),
+            "raw": raw,
+            "completion_canonical": schema_io.serialize_canonical(checked.value),
+            "validation": checked.validation.to_json_value(),
             "verification": verification.to_json_value(),
             "rendered": rendered.to_json_value(),
         },
@@ -237,54 +255,25 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return ExitCode.OK if verification.ok else ExitCode.VALIDATION
 
 
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    metric = _lookup(metric_by_name, args.metric)
+    mode = _lookup(parse_citation_mode, args.mode)
+    if not mode.valid_for_quality:
+        raise UsageError(f"mode {mode.value} carries no snippets; content-quality evaluation needs them")
+    context = _read_text(args.context)
+    generation = _read_text(args.generation)
+    config = _load_config(args.config)
+    prompt = build_quality_prompt(metric, context, generation, _templates(args))
+    return _complete_and_check(args, config, prompt, "quality", context, mode)
+
+
 def cmd_cite(args: argparse.Namespace) -> int:
-    try:
-        mode = parse_citation_mode(args.mode)
-    except KeyError as exc:
-        raise UsageError(str(exc)) from exc
+    mode = _lookup(parse_citation_mode, args.mode)
     chunks = _load_chunks(args.chunks)
     answer = _read_text(args.answer)
     config = _load_config(args.config)
     prompt = build_rag_cite_prompt(chunks, answer, mode, _templates(args))
-    gateway = _make_gateway(args, config)
-    result = gateway.complete(CompletionRequest(prompt=prompt, seed=args.seed))
-
-    parsed, report = schema_io.try_parse_rag_output(result.text, mode)
-    if parsed is None:
-        print(f"citation reply failed validation: {report}", file=sys.stderr)
-        _write_sidecar(args.out, {"raw": result.text, "validation": report.to_json_value()})
-        return ExitCode.VALIDATION
-    try:
-        verification = verify_rag_output(parsed, chunks, answer, _policy(args))
-    except UnknownContextIdError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        _write_sidecar(args.out, {"raw": result.text, "validation": report.to_json_value()})
-        return ExitCode.VALIDATION
-    try:
-        rendered = render_rag(parsed, answer, chunks)
-    except ClaimNotFoundError as exc:
-        print(f"cannot render: {exc}", file=sys.stderr)
-        print(schema_io.serialize_canonical(parsed))
-        return ExitCode.VALIDATION
-    if args.fmt == "json":
-        _print_json(rendered.to_json_value())
-    else:
-        print(rendered.as_text())
-    for warning in rendered.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    if not verification.ok:
-        print("verification failed: snippet or claim not verbatim", file=sys.stderr)
-    _write_sidecar(
-        args.out,
-        {
-            "raw": result.text,
-            "completion_canonical": schema_io.serialize_canonical(parsed),
-            "validation": report.to_json_value(),
-            "verification": verification.to_json_value(),
-            "rendered": rendered.to_json_value(),
-        },
-    )
-    return ExitCode.OK if verification.ok else ExitCode.VALIDATION
+    return _complete_and_check(args, config, prompt, "rag", chunks, mode, answer)
 
 
 def _context_map(path: str | None) -> dict[str, str]:
@@ -309,15 +298,7 @@ def _validate_one(rec: dict[str, Any], contexts: dict[str, str], policy: MatchPo
         context_id = str(rec.get("context_id", ""))
         if context_id not in contexts:
             return {"ok": False, "error": f"unknown context_id {context_id!r}"}
-        parsed, report = schema_io.try_parse_quality_output(raw)
-        if parsed is None:
-            return {"ok": False, "validation": report.to_json_value()}
-        verification = verify_quality_output(parsed, contexts[context_id], policy)
-        return {
-            "ok": verification.ok,
-            "validation": report.to_json_value(),
-            "verification": verification.to_json_value(),
-        }
+        return check_reply(kind, raw, contexts[context_id], policy=policy).to_json_value()
     try:
         mode = parse_citation_mode(str(rec.get("mode", "")))
     except KeyError as exc:
@@ -333,18 +314,7 @@ def _validate_one(rec: dict[str, Any], contexts: dict[str, str], policy: MatchPo
         ContextDocument(body=contexts[str(i)], context_id=str(i), source_kind=SourceKind.RETRIEVED_CHUNK)
         for i in ids
     ]
-    parsed, report = schema_io.try_parse_rag_output(raw, mode)
-    if parsed is None:
-        return {"ok": False, "validation": report.to_json_value()}
-    try:
-        verification = verify_rag_output(parsed, chunks, answer, policy)
-    except (UnknownContextIdError, RecError) as exc:
-        return {"ok": False, "validation": report.to_json_value(), "error": str(exc)}
-    return {
-        "ok": verification.ok,
-        "validation": report.to_json_value(),
-        "verification": verification.to_json_value(),
-    }
+    return check_reply(kind, raw, chunks, mode=mode, answer=answer, policy=policy).to_json_value()
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -368,38 +338,26 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     raw = _read_text(args.raw)
-    try:
-        mode = parse_citation_mode(args.mode)
-    except KeyError as exc:
-        raise UsageError(str(exc)) from exc
+    mode = _lookup(parse_citation_mode, args.mode)
+    answer = chunks = None
     if args.kind == "quality":
         if not mode.valid_for_quality:
             raise UsageError(f"mode {mode.value} carries no snippets to render")
-        parsed, report = schema_io.try_parse_quality_output(raw)
-        if parsed is None:
-            print(f"cannot render, reply failed validation: {report}", file=sys.stderr)
-            return ExitCode.VALIDATION
-        rendered = render_quality(parsed, mode)
     else:
         if not args.answer:
             raise UsageError("--kind rag needs --answer")
         answer = _read_text(args.answer)
         chunks = _load_chunks(args.chunks) if args.chunks else None
-        parsed_rag, report = schema_io.try_parse_rag_output(raw, mode)
-        if parsed_rag is None:
-            print(f"cannot render, reply failed validation: {report}", file=sys.stderr)
-            return ExitCode.VALIDATION
-        try:
-            rendered = render_rag(parsed_rag, answer, chunks)
-        except ClaimNotFoundError as exc:
-            print(f"cannot render: {exc}", file=sys.stderr)
-            return ExitCode.VALIDATION
-    if args.fmt == "json":
-        _print_json(rendered.to_json_value())
-    else:
-        print(rendered.as_text())
-    for warning in rendered.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    checked = check_reply(args.kind, raw, None, mode=mode)  # parse only: nothing to verify against
+    if checked.value is None:
+        print(f"cannot render, reply failed validation: {checked.validation}", file=sys.stderr)
+        return ExitCode.VALIDATION
+    try:
+        rendered = _render(args.kind, checked.value, mode, answer, chunks)
+    except ClaimNotFoundError as exc:
+        print(f"cannot render: {exc}", file=sys.stderr)
+        return ExitCode.VALIDATION
+    _print_rendered(args, rendered)
     return ExitCode.OK
 
 
@@ -408,12 +366,9 @@ def _mean(values: list[float]) -> float | None:
 
 
 def _label_matches(pred: Any, gold: Any) -> float:
+    """Share of the gold labels (one, or a list from several annotators) pred matches."""
     golds = gold if isinstance(gold, list) else [gold]
-    if not golds:
-        return 0.0
-    def key(v: Any) -> Any:
-        return v.strip().casefold() if isinstance(v, str) else v
-    return sum(1.0 for g in golds if key(pred) == key(g)) / len(golds)
+    return binary_accuracy([pred] * len(golds), golds) if golds else 0.0
 
 
 def _gold_from_record(rec: dict[str, Any]) -> GoldCitationSet | None:
@@ -438,6 +393,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     by_metric: dict[str, dict[str, list]] = {}
     excluded_halu = 0
+    missing_context = 0
     for rec in preds:
         if not isinstance(rec, dict):
             raise UsageError("every score record must be a JSON object")
@@ -458,7 +414,10 @@ def cmd_score(args: argparse.Namespace) -> int:
             excluded_halu += 1
             continue
         predicted = rec.get("predicted_citations") or []
-        context = contexts.get(str(rec.get("context_ref", "")), "")
+        context_ref = str(rec.get("context_ref", ""))
+        if context_ref not in contexts:
+            missing_context += 1  # scored against empty text, so nothing snaps
+        context = contexts.get(context_ref, "")
         bucket["prf"].append(citation_prf(predicted, gold, context, policy))
 
     per_metric: dict[str, Any] = {}
@@ -474,7 +433,13 @@ def cmd_score(args: argparse.Namespace) -> int:
                 "n_scored": len(prfs),
             },
         }
-    _print_json({"per_metric": per_metric, "n": len(preds), "excluded_halu": excluded_halu})
+    report: dict[str, Any] = {
+        "per_metric": per_metric, "n": len(preds), "excluded_halu": excluded_halu
+    }
+    if missing_context:
+        # Only a degraded run gets the key, so a clean report reads as before.
+        report["missing_context"] = missing_context
+    _print_json(report)
     return ExitCode.OK
 
 
@@ -564,10 +529,7 @@ def _parse_metrics(spec: str | None):
         part = part.strip()
         if not part:
             continue
-        try:
-            metrics.append(metric_by_name(part))
-        except KeyError as exc:
-            raise UsageError(str(exc)) from exc
+        metrics.append(_lookup(metric_by_name, part))
     if not metrics:
         raise UsageError("--metrics named no usable metric")
     return metrics

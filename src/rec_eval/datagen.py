@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import logging
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Sequence
 
 from . import schema_io
-from .errors import RecError, UnknownContextIdError
+from .errors import RecError
 from .gateway import CancelledError, CompletionRequest, Gateway, GatewayError
 from .model import (
+    CitationMode,
     ContextDocument,
     EvaluationMetric,
     FilterStatus,
@@ -37,7 +38,9 @@ from .prompts import (
     build_rag_cite_prompt,
 )
 from .tokens import TokenEstimator, estimate_tokens
-from .verify import MatchPolicy, verify_quality_output, verify_rag_output
+from .verify import MatchPolicy, check_reply
+# Unused here, but bound so a traced benchmark run can wrap them by name.
+from .verify import verify_quality_output, verify_rag_output  # noqa: F401
 
 __all__ = [
     "SourceRecord",
@@ -74,6 +77,9 @@ class SourceRecord:
             return "rag"
         return "quality"
 
+    def rag_mode(self) -> CitationMode:
+        return parse_citation_mode(self.inputs.get("mode", "inline"))
+
     def violations(self) -> list[str]:
         out = []
         if not self.source_dataset:
@@ -82,19 +88,16 @@ class SourceRecord:
             for slot in ("query_with_context", "answer"):
                 if not str(self.inputs.get(slot, "")).strip():
                     out.append(f"pointwise record needs a non-empty {slot!r} input")
-        elif self.task_type is TaskType.CITATION:
-            if self.citation_flavor() == "rag":
-                chunks = self.inputs.get("chunks")
-                if not isinstance(chunks, list) or not chunks:
-                    out.append("retrieval citation record needs a non-empty 'chunks' list")
-                if not str(self.inputs.get("answer", "")).strip():
-                    out.append("retrieval citation record needs a non-empty 'answer' input")
-            else:
-                for slot in ("task_prompt", "generation"):
-                    if not str(self.inputs.get(slot, "")).strip():
-                        out.append(f"citation record needs a non-empty {slot!r} input")
+        elif self.citation_flavor() == "rag":
+            chunks = self.inputs.get("chunks")
+            if not isinstance(chunks, list) or not chunks:
+                out.append("retrieval citation record needs a non-empty 'chunks' list")
+            if not str(self.inputs.get("answer", "")).strip():
+                out.append("retrieval citation record needs a non-empty 'answer' input")
         else:
-            out.append(f"task_type {self.task_type.value} is not generated by this pipeline")
+            for slot in ("task_prompt", "generation"):
+                if not str(self.inputs.get(slot, "")).strip():
+                    out.append(f"citation record needs a non-empty {slot!r} input")
         return out
 
     def chunk_documents(self) -> list[ContextDocument]:
@@ -130,15 +133,7 @@ class FilterStats:
         return self.total == self.kept + rejected
 
     def to_json_value(self) -> dict[str, int]:
-        return {
-            "total": self.total,
-            "kept": self.kept,
-            "rejected_bad_json": self.rejected_bad_json,
-            "rejected_non_verbatim": self.rejected_non_verbatim,
-            "rejected_too_long": self.rejected_too_long,
-            "rejected_transport": self.rejected_transport,
-            "cancelled": self.cancelled,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -184,8 +179,8 @@ def _build_prompt(
             metric, task.inputs["query_with_context"], task.inputs["answer"], templates
         )
     if task.citation_flavor() == "rag":
-        mode = parse_citation_mode(task.inputs.get("mode", "inline"))
-        return build_rag_cite_prompt(task.chunk_documents(), task.inputs["answer"], mode, templates)
+        chunks = task.chunk_documents()
+        return build_rag_cite_prompt(chunks, task.inputs["answer"], task.rag_mode(), templates)
     if metric is None:
         raise ValueError("content-quality citation prompts need a metric")
     return build_quality_prompt(metric, task.inputs["task_prompt"], task.inputs["generation"], templates)
@@ -226,32 +221,21 @@ def filter_one(
         )
         return FilterOutcome(record=record, detail=detail)
 
-    if task.task_type is TaskType.POINTWISE_EVAL:
-        value, report = schema_io.try_parse_pointwise(raw)
-        if value is None:
-            return rejected(FilterStatus.REJECTED_BAD_JSON, str(report), raw)
-    elif task.citation_flavor() == "rag":
-        mode = parse_citation_mode(task.inputs.get("mode", "inline"))
-        value, report = schema_io.try_parse_rag_output(raw, mode)
-        if value is None:
-            return rejected(FilterStatus.REJECTED_BAD_JSON, str(report), raw)
-        try:
-            verification = verify_rag_output(value, task.chunk_documents(), task.inputs["answer"], policy)
-        except UnknownContextIdError as exc:
-            return rejected(FilterStatus.REJECTED_NON_VERBATIM, str(exc), raw)
-        if not verification.ok:
-            return rejected(
-                FilterStatus.REJECTED_NON_VERBATIM, "snippet or claim not verbatim", raw
-            )
+    kind = "pointwise" if task.task_type is TaskType.POINTWISE_EVAL else task.citation_flavor()
+    if kind == "rag":
+        chunks, answer = task.chunk_documents(), task.inputs["answer"]
+        checked = check_reply(kind, raw, chunks, mode=task.rag_mode(), answer=answer, policy=policy)
     else:
-        value, report = schema_io.try_parse_quality_output(raw)
-        if value is None:
-            return rejected(FilterStatus.REJECTED_BAD_JSON, str(report), raw)
-        verification = verify_quality_output(value, task.inputs["task_prompt"], policy)
-        if not verification.ok:
-            return rejected(FilterStatus.REJECTED_NON_VERBATIM, "citation not verbatim", raw)
+        source = task.inputs["task_prompt"] if kind == "quality" else None
+        checked = check_reply(kind, raw, source, policy=policy)
+    if checked.value is None:
+        return rejected(FilterStatus.REJECTED_BAD_JSON, str(checked.validation), raw)
+    if not checked.ok:
+        what = "citation" if kind == "quality" else "snippet or claim"
+        detail = checked.error or f"{what} not verbatim"
+        return rejected(FilterStatus.REJECTED_NON_VERBATIM, detail, raw)
 
-    completion = schema_io.serialize_canonical(value)
+    completion = schema_io.serialize_canonical(checked.value)
     if not length_filter(prompt_str, completion, max_tokens, estimator):
         return rejected(FilterStatus.REJECTED_TOO_LONG, "over the token budget", completion)
     record = UnifiedTaskRecord(

@@ -9,7 +9,7 @@ sentence count as the same thing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from .errors import EmptyInputError, HaluGoldError, LengthMismatchError, SnippetNotFoundError
@@ -22,7 +22,6 @@ __all__ = [
     "citation_prf",
     "gold_intersection",
     "binary_accuracy",
-    "inter_rater_agreement",
     "parse_pairwise_verdict",
     "win_rate",
     "OrderBiasResult",
@@ -59,14 +58,7 @@ class PRF:
         return cls(precision=precision, recall=recall, f1=f1, tp=tp, fp=fp, fn=fn)
 
     def to_json_value(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -145,11 +137,6 @@ def binary_accuracy(preds: Sequence[object], golds: Sequence[object]) -> float:
     return hits / len(preds)
 
 
-def inter_rater_agreement(a: Sequence[object], b: Sequence[object]) -> float:
-    """Raw agreement between two annotators; same machinery as accuracy."""
-    return binary_accuracy(a, b)
-
-
 _BRACKET_CUE = re.compile(r"\[\[([AB])\]\]", re.IGNORECASE)
 _OUTPUT_CUE = re.compile(r"output\s*\(([ab])\)", re.IGNORECASE)
 
@@ -201,11 +188,7 @@ class OrderBiasResult:
     pairs_excluded: int
 
     def to_json_value(self) -> dict:
-        return {
-            "rate": self.rate,
-            "pairs_counted": self.pairs_counted,
-            "pairs_excluded": self.pairs_excluded,
-        }
+        return asdict(self)
 
 
 def order_bias(pairs: Iterable[tuple[Verdict, Verdict]]) -> OrderBiasResult:

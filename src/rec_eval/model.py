@@ -326,11 +326,8 @@ class PointwiseVerdict:
 
 
 class TaskType(str, Enum):
-    PAIRWISE_EVAL = "PairwiseEval"
     POINTWISE_EVAL = "PointwiseEval"
-    OPEN_ENDED_EVAL = "OpenEndedEval"
     CITATION = "Citation"
-    GENERAL_INSTRUCTION = "GeneralInstruction"
 
 
 class FilterStatus(str, Enum):

@@ -112,6 +112,17 @@ def extract_first_json_object(text: str) -> tuple[Any, int, int] | None:
     return None
 
 
+_NO_JSON = ValidationReport(
+    (Violation(Code.BAD_JSON, "$", "no parseable JSON object in reply"),)
+)
+
+
+def _envelope(raw: str) -> dict | None:
+    """The reply's leftmost JSON object, or None when it holds none."""
+    found = extract_first_json_object(raw)
+    return None if found is None else found[0]
+
+
 def _normalize_yes_no(value: Any, path: str, out: list[Violation]) -> str | None:
     if not isinstance(value, str):
         out.append(Violation(Code.WRONG_TYPE, path, f"expected string, got {type(value).__name__}"))
@@ -132,7 +143,7 @@ def _require(obj: dict, key: str, path: str, out: list[Violation]) -> Any:
     return obj[key]
 
 
-def _require_str(obj: dict, key: str, path: str, out: list[Violation], *, allow_empty: bool = False) -> str | None:
+def _require_str(obj: dict, key: str, path: str, out: list[Violation]) -> str | None:
     if key not in obj:
         out.append(Violation(Code.MISSING_FIELD, path, f"missing required field {key!r}"))
         return None
@@ -142,7 +153,7 @@ def _require_str(obj: dict, key: str, path: str, out: list[Violation], *, allow_
             Violation(Code.WRONG_TYPE, f"{path}.{key}", f"expected string, got {type(value).__name__}")
         )
         return None
-    if not value and not allow_empty:
+    if not value:
         out.append(Violation(Code.EMPTY_REQUIRED, f"{path}.{key}", "must be non-empty"))
         return None
     return value
@@ -198,13 +209,9 @@ def _parse_citation_item(item: Any, path: str, out: list[Violation]) -> Citation
 
 def try_parse_quality_output(raw: str) -> tuple[QualityEvalOutput | None, ValidationReport]:
     """Parse a content-quality rate/explain/cite reply."""
-    found = extract_first_json_object(raw)
-    if found is None:
-        report = ValidationReport(
-            (Violation(Code.BAD_JSON, "$", "no parseable JSON object in reply"),)
-        )
-        return None, report
-    obj, _, _ = found
+    obj = _envelope(raw)
+    if obj is None:
+        return None, _NO_JSON
     out: list[Violation] = []
 
     answer_raw = _require(obj, "answer", "$.answer", out)
@@ -269,13 +276,9 @@ def try_parse_rag_output(
     raw: str, mode: CitationMode
 ) -> tuple[RagCitationOutput | None, ValidationReport]:
     """Parse a retrieval-citation reply against the requested mode."""
-    found = extract_first_json_object(raw)
-    if found is None:
-        report = ValidationReport(
-            (Violation(Code.BAD_JSON, "$", "no parseable JSON object in reply"),)
-        )
-        return None, report
-    obj, _, _ = found
+    obj = _envelope(raw)
+    if obj is None:
+        return None, _NO_JSON
     out: list[Violation] = []
 
     entries: list[RagCitationEntry] = []
@@ -330,13 +333,9 @@ def parse_rag_output(raw: str, mode: CitationMode) -> RagCitationOutput:
 
 def try_parse_pointwise(raw: str) -> tuple[PointwiseVerdict | None, ValidationReport]:
     """Parse a single-metric {"metriclabel", "justification"} reply."""
-    found = extract_first_json_object(raw)
-    if found is None:
-        report = ValidationReport(
-            (Violation(Code.BAD_JSON, "$", "no parseable JSON object in reply"),)
-        )
-        return None, report
-    obj, _, _ = found
+    obj = _envelope(raw)
+    if obj is None:
+        return None, _NO_JSON
     out: list[Violation] = []
     label_raw = _require(obj, "metriclabel", "$.metriclabel", out)
     label = _normalize_yes_no(label_raw, "$.metriclabel", out) if label_raw is not None else None

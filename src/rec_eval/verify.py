@@ -12,7 +12,9 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any
 
+from . import schema_io
 from .errors import (
     DuplicateContextIdError,
     SnippetNotFoundError,
@@ -20,6 +22,7 @@ from .errors import (
 )
 from .model import (
     NO_SUPPORT_ID,
+    CitationMode,
     ContextDocument,
     QualityEvalOutput,
     RagCitationOutput,
@@ -35,6 +38,8 @@ __all__ = [
     "verify_snippet",
     "verify_quality_output",
     "verify_rag_output",
+    "ReplyCheck",
+    "check_reply",
     "segment_sentences",
     "snap_to_sentences",
 ]
@@ -270,6 +275,73 @@ def verify_rag_output(
         claims_verbatim=claims_verbatim,
         per_claim=tuple(claim_checks),
     )
+
+
+@dataclass(frozen=True)
+class ReplyCheck:
+    """One evaluator reply, parsed strictly and then checked verbatim.
+
+    value is None when the reply failed to parse. verification is None when
+    nothing was checked: a parse failure, a pointwise reply, a parse-only
+    call, or a retrieval reply whose chunk ids do not resolve, in which case
+    error holds why.
+    """
+
+    value: Any
+    validation: schema_io.ValidationReport
+    verification: VerificationReport | None = None
+    error: str | None = None
+
+    @property
+    def ok(self) -> bool:
+        verified = self.verification is None or self.verification.ok
+        return self.value is not None and self.error is None and verified
+
+    def to_json_value(self) -> dict:
+        out: dict[str, Any] = {"ok": self.ok, "validation": self.validation.to_json_value()}
+        if self.verification is not None:
+            out["verification"] = self.verification.to_json_value()
+        if self.error is not None:
+            out["error"] = self.error
+        return out
+
+
+def check_reply(
+    kind: str,
+    raw: str,
+    source: str | ContextDocument | list[ContextDocument] | None,
+    *,
+    mode: CitationMode | None = None,
+    answer: str | None = None,
+    policy: MatchPolicy = MatchPolicy.NORMALIZED,
+) -> ReplyCheck:
+    """Parse a raw evaluator reply, then verify its citations against source.
+
+    kind is "quality" (source is the context), "rag" (source is the chunks;
+    mode and answer are required) or "pointwise" (nothing to verify). With
+    source None only the parse half runs.
+    """
+    # Parsers are looked up on the module at call time, where a traced run
+    # wraps them.
+    if kind == "quality":
+        value, report = schema_io.try_parse_quality_output(raw)
+    elif kind == "rag":
+        if mode is None:
+            raise ValueError("rag replies need a citation mode")
+        value, report = schema_io.try_parse_rag_output(raw, mode)
+    elif kind == "pointwise":
+        value, report = schema_io.try_parse_pointwise(raw)
+    else:
+        raise ValueError(f"unknown reply kind: {kind!r}")
+    if value is None or source is None or kind == "pointwise":
+        return ReplyCheck(value, report)
+    if kind == "quality":
+        return ReplyCheck(value, report, verify_quality_output(value, source, policy))
+    try:
+        verification = verify_rag_output(value, source, answer, policy)  # type: ignore[arg-type]
+    except (UnknownContextIdError, DuplicateContextIdError) as exc:
+        return ReplyCheck(value, report, error=str(exc))
+    return ReplyCheck(value, report, verification)
 
 
 _TERMINALS = ".?!"

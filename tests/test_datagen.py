@@ -72,10 +72,6 @@ def test_source_record_violations():
         inputs={"query_with_context": "q", "answer": "a"},
     )
     assert pointwise.violations() == []
-    unsupported = SourceRecord(
-        source_dataset="d", task_type=TaskType.GENERAL_INSTRUCTION, inputs={}
-    )
-    assert unsupported.violations()
 
 
 def test_estimate_tokens_rule():

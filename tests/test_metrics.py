@@ -13,7 +13,6 @@ from rec_eval import (
     binary_accuracy,
     citation_prf,
     gold_intersection,
-    inter_rater_agreement,
     order_bias,
     parse_pairwise_verdict,
     win_rate,
@@ -100,7 +99,6 @@ def test_gold_intersection_surfaces_and_halu():
 
 def test_binary_accuracy_and_agreement():
     assert binary_accuracy(["Yes", "no", "Yes"], ["yes", "No", "no"]) == pytest.approx(2 / 3)
-    assert inter_rater_agreement(["Yes"], ["Yes "]) == 1.0
     with pytest.raises(LengthMismatchError):
         binary_accuracy(["Yes"], ["Yes", "No"])
     with pytest.raises(EmptyInputError):
