@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Any, Callable
 
 from . import schema_io
-from .datagen import PipelineConfig, SourceRecord, generate
-from .errors import ClaimNotFoundError, RecError, UsageError
+from .datagen import DEFAULT_MAX_TOKENS, PipelineConfig, SourceRecord, generate
+from .errors import ClaimNotFoundError, RecError, SourceRecordError, UsageError
 from .gateway import (
     CompletionRequest,
     Gateway,
@@ -514,13 +514,6 @@ def cmd_judge(args: argparse.Namespace) -> int:
     return ExitCode.OK
 
 
-_TASK_TYPES = {
-    "pointwise": TaskType.POINTWISE_EVAL,
-    "cite-quality": TaskType.CITATION,
-    "cite-rag": TaskType.CITATION,
-}
-
-
 def _parse_metrics(spec: str | None):
     if not spec:
         return metric_catalog()
@@ -536,7 +529,8 @@ def _parse_metrics(spec: str | None):
 
 
 def cmd_datagen(args: argparse.Namespace) -> int:
-    task_type = _TASK_TYPES[args.task]
+    kind = args.task.removeprefix("cite-")
+    task_type = TaskType.POINTWISE_EVAL if kind == "pointwise" else TaskType.CITATION
     raw_records = _read_jsonl(args.input)
     records: list[SourceRecord] = []
     for i, rec in enumerate(raw_records, start=1):
@@ -547,10 +541,9 @@ def cmd_datagen(args: argparse.Namespace) -> int:
             task_type=task_type,
             inputs=rec["inputs"],
         )
-        if args.task == "cite-rag" and source.citation_flavor() != "rag":
-            raise UsageError(f"{args.input} line {i}: cite-rag records need a chunks list")
-        if args.task == "cite-quality" and source.citation_flavor() != "quality":
-            raise UsageError(f"{args.input} line {i}: cite-quality records must not carry chunks")
+        if source.kind != kind:
+            need = "need a chunks list" if kind == "rag" else "must not carry chunks"
+            raise UsageError(f"{args.input} line {i}: {args.task} records {need}")
         problems = source.violations()
         if problems:
             raise UsageError(f"{args.input} line {i}: {'; '.join(problems)}")
@@ -564,9 +557,12 @@ def cmd_datagen(args: argparse.Namespace) -> int:
         max_tokens=args.max_tokens,
         seed=args.seed,
     )
-    out_records, stats = generate(
-        records, metrics, gateway, _policy(args), pipeline, _templates(args)
-    )
+    try:
+        out_records, stats = generate(
+            records, metrics, gateway, _policy(args), pipeline, _templates(args)
+        )
+    except SourceRecordError as exc:
+        raise UsageError(f"{args.input}: {exc}") from exc
 
     emit = out_records if args.keep_rejected else [r for r in out_records if r.filter_status.value == "Kept"]
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -641,11 +637,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("datagen", help="generate and filter synthetic evaluation data")
     p.add_argument("--input", required=True, help="JSONL of source records with an inputs object")
-    p.add_argument("--task", required=True, choices=sorted(_TASK_TYPES))
+    p.add_argument("--task", required=True, choices=["cite-quality", "cite-rag", "pointwise"])
     p.add_argument("--metrics", help="comma list, e.g. f,if,coh,comp (pointwise fan-out)")
     p.add_argument("--out", required=True, help="output JSONL of unified task records")
     p.add_argument("--stats", help="JSON file for the filter stats")
-    p.add_argument("--max-tokens", type=float, default=6144, help="inclusive prompt+completion budget")
+    p.add_argument("--max-tokens", type=float, default=DEFAULT_MAX_TOKENS, help="inclusive prompt+completion budget")
     p.add_argument("--parallelism", type=int, help="concurrent generation calls")
     p.add_argument("--keep-rejected", action="store_true", help="write rejected records too, with their status")
     _common_options(p)

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Sequence
 
 from . import schema_io
-from .errors import RecError
+from .errors import DuplicateContextIdError, EmptyRequiredError, SourceRecordError
 from .gateway import CancelledError, CompletionRequest, Gateway, GatewayError
 from .model import (
     CitationMode,
@@ -37,7 +37,7 @@ from .prompts import (
     build_quality_prompt,
     build_rag_cite_prompt,
 )
-from .tokens import TokenEstimator, estimate_tokens
+from .tokens import estimate_tokens
 from .verify import MatchPolicy, check_reply
 # Unused here, but bound so a traced benchmark run can wrap them by name.
 from .verify import verify_quality_output, verify_rag_output  # noqa: F401
@@ -56,6 +56,9 @@ logger = logging.getLogger(__name__)
 
 #: Inclusive prompt+completion token budget for kept records.
 DEFAULT_MAX_TOKENS = 6144
+
+#: Completion length cap sent with every generation request.
+MAX_OUTPUT_TOKENS = 2048
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,13 @@ class SourceRecord:
             return "rag"
         return "quality"
 
+    @property
+    def kind(self) -> str:
+        """The reply kind `check_reply` takes: "pointwise", "quality" or "rag"."""
+        if self.task_type is TaskType.POINTWISE_EVAL:
+            return "pointwise"
+        return self.citation_flavor()
+
     def rag_mode(self) -> CitationMode:
         return parse_citation_mode(self.inputs.get("mode", "inline"))
 
@@ -84,11 +94,12 @@ class SourceRecord:
         out = []
         if not self.source_dataset:
             out.append("source_dataset must be non-empty")
-        if self.task_type is TaskType.POINTWISE_EVAL:
+        kind = self.kind
+        if kind == "pointwise":
             for slot in ("query_with_context", "answer"):
                 if not str(self.inputs.get(slot, "")).strip():
                     out.append(f"pointwise record needs a non-empty {slot!r} input")
-        elif self.citation_flavor() == "rag":
+        elif kind == "rag":
             chunks = self.inputs.get("chunks")
             if not isinstance(chunks, list) or not chunks:
                 out.append("retrieval citation record needs a non-empty 'chunks' list")
@@ -140,21 +151,12 @@ class FilterStats:
 class PipelineConfig:
     parallelism: int = 4
     max_tokens: float = DEFAULT_MAX_TOKENS
-    temperature: float = 0.0
-    max_output_tokens: int = 2048
     seed: int | None = None
-    estimator: TokenEstimator | None = None
 
 
-def length_filter(
-    prompt: str,
-    completion: str,
-    max_tokens: float = DEFAULT_MAX_TOKENS,
-    estimator: TokenEstimator | None = None,
-) -> bool:
+def length_filter(prompt: str, completion: str, max_tokens: float = DEFAULT_MAX_TOKENS) -> bool:
     """True when prompt plus completion fit the budget (inclusive)."""
-    est = estimator or estimate_tokens
-    return est(prompt) + est(completion) <= max_tokens
+    return estimate_tokens(prompt) + estimate_tokens(completion) <= max_tokens
 
 
 @dataclass(frozen=True)
@@ -172,25 +174,31 @@ def _build_prompt(
     metric: EvaluationMetric | None,
     templates: TemplateSet | None,
 ) -> PromptText:
-    if task.task_type is TaskType.POINTWISE_EVAL:
-        if metric is None:
-            raise ValueError("pointwise prompts need a metric")
-        return build_pointwise_prompt(
-            metric, task.inputs["query_with_context"], task.inputs["answer"], templates
-        )
-    if task.citation_flavor() == "rag":
+    kind = task.kind
+    if kind == "rag":
         chunks = task.chunk_documents()
         return build_rag_cite_prompt(chunks, task.inputs["answer"], task.rag_mode(), templates)
     if metric is None:
-        raise ValueError("content-quality citation prompts need a metric")
+        raise ValueError(f"{kind} prompts need a metric")
+    if kind == "pointwise":
+        return build_pointwise_prompt(
+            metric, task.inputs["query_with_context"], task.inputs["answer"], templates
+        )
     return build_quality_prompt(metric, task.inputs["task_prompt"], task.inputs["generation"], templates)
 
 
-def _record_metric(task: SourceRecord, metrics: Sequence[EvaluationMetric]) -> EvaluationMetric:
+def _job_metrics(
+    task: SourceRecord, metrics: Sequence[EvaluationMetric]
+) -> list[EvaluationMetric | None]:
+    """The metric of each job `task` fans out into; a rag record's one job has none."""
+    kind = task.kind
+    if kind == "rag":
+        return [None]
+    fan_out = list(metrics or metric_catalog())
+    if kind == "pointwise":
+        return fan_out
     named = task.inputs.get("metric")
-    if named:
-        return metric_by_name(str(named))
-    return metrics[0] if metrics else metric_catalog()[0]
+    return [metric_by_name(str(named)) if named else fan_out[0]]
 
 
 def filter_one(
@@ -200,52 +208,51 @@ def filter_one(
     *,
     metric: EvaluationMetric | None = None,
     max_tokens: float = DEFAULT_MAX_TOKENS,
-    estimator: TokenEstimator | None = None,
-    templates: TemplateSet | None = None,
     prompt: PromptText | None = None,
 ) -> FilterOutcome:
     """Run one raw completion through parse -> verify -> length, in that order."""
+    kind = task.kind
     if prompt is None:
-        if metric is None and task.task_type is not TaskType.POINTWISE_EVAL:
-            metric = _record_metric(task, ())
-        prompt = _build_prompt(task, metric, templates)
-    prompt_str = prompt.text
+        if metric is None and kind == "quality":
+            metric = _job_metrics(task, ())[0]
+        prompt = _build_prompt(task, metric, None)
 
-    def rejected(status: FilterStatus, detail: str, completion: str) -> FilterOutcome:
-        record = UnifiedTaskRecord(
-            prompt=prompt_str,
-            completion=completion,
-            task_type=task.task_type,
-            source_dataset=task.source_dataset,
-            filter_status=status,
-        )
-        return FilterOutcome(record=record, detail=detail)
-
-    kind = "pointwise" if task.task_type is TaskType.POINTWISE_EVAL else task.citation_flavor()
     if kind == "rag":
         chunks, answer = task.chunk_documents(), task.inputs["answer"]
         checked = check_reply(kind, raw, chunks, mode=task.rag_mode(), answer=answer, policy=policy)
     else:
         source = task.inputs["task_prompt"] if kind == "quality" else None
         checked = check_reply(kind, raw, source, policy=policy)
+    completion, status, detail = raw, FilterStatus.KEPT, None
     if checked.value is None:
-        return rejected(FilterStatus.REJECTED_BAD_JSON, str(checked.validation), raw)
-    if not checked.ok:
+        status, detail = FilterStatus.REJECTED_BAD_JSON, str(checked.validation)
+    elif not checked.ok:
         what = "citation" if kind == "quality" else "snippet or claim"
-        detail = checked.error or f"{what} not verbatim"
-        return rejected(FilterStatus.REJECTED_NON_VERBATIM, detail, raw)
-
-    completion = schema_io.serialize_canonical(checked.value)
-    if not length_filter(prompt_str, completion, max_tokens, estimator):
-        return rejected(FilterStatus.REJECTED_TOO_LONG, "over the token budget", completion)
+        status, detail = FilterStatus.REJECTED_NON_VERBATIM, checked.error or f"{what} not verbatim"
+    else:
+        completion = schema_io.serialize_canonical(checked.value)
+        if not length_filter(prompt.text, completion, max_tokens):
+            status, detail = FilterStatus.REJECTED_TOO_LONG, "over the token budget"
     record = UnifiedTaskRecord(
-        prompt=prompt_str,
+        prompt=prompt.text,
         completion=completion,
         task_type=task.task_type,
         source_dataset=task.source_dataset,
-        filter_status=FilterStatus.KEPT,
+        filter_status=status,
     )
-    return FilterOutcome(record=record)
+    return FilterOutcome(record=record, detail=detail)
+
+
+#: The FilterStats bucket each filter_one outcome is counted in.
+_BUCKETS = {
+    FilterStatus.KEPT: "kept",
+    FilterStatus.REJECTED_BAD_JSON: "rejected_bad_json",
+    FilterStatus.REJECTED_NON_VERBATIM: "rejected_non_verbatim",
+    FilterStatus.REJECTED_TOO_LONG: "rejected_too_long",
+}
+
+#: Raised building a malformed record's prompts: bad inputs, names or chunks.
+_MALFORMED = (KeyError, TypeError, AttributeError, EmptyRequiredError, DuplicateContextIdError)
 
 
 def generate(
@@ -262,26 +269,26 @@ def generate(
     Returns every produced record (kept and rejected) in deterministic job
     order plus the stats. Gateway failures become the transport bucket with
     no record; cancelled items are counted outside the conservation total.
+    A record that fails its checks or whose prompts cannot be built raises
+    SourceRecordError before any backend call.
     """
     config = config or PipelineConfig()
     jobs: list[tuple[SourceRecord, EvaluationMetric | None, PromptText]] = []
     for task in records:
+        bad = f"bad source record from {task.source_dataset!r}"
         problems = task.violations()
         if problems:
-            raise RecError(f"bad source record from {task.source_dataset!r}: {'; '.join(problems)}")
-        if task.task_type is TaskType.POINTWISE_EVAL:
-            fan_out = metrics if metrics else metric_catalog()
-            for metric in fan_out:
+            raise SourceRecordError(f"{bad}: {'; '.join(problems)}")
+        try:
+            for metric in _job_metrics(task, metrics):
                 jobs.append((task, metric, _build_prompt(task, metric, templates)))
-        else:
-            metric = _record_metric(task, metrics) if task.citation_flavor() == "quality" else None
-            jobs.append((task, metric, _build_prompt(task, metric, templates)))
+        except _MALFORMED as exc:
+            raise SourceRecordError(f"{bad}: {type(exc).__name__}: {exc}") from exc
 
     requests = [
         CompletionRequest(
             prompt=prompt,
-            temperature=config.temperature,
-            max_output_tokens=config.max_output_tokens,
+            max_output_tokens=MAX_OUTPUT_TOKENS,
             seed=config.seed,
         )
         for _, _, prompt in jobs
@@ -305,17 +312,9 @@ def generate(
             policy,
             metric=metric,
             max_tokens=config.max_tokens,
-            estimator=config.estimator,
             prompt=prompt,
         )
         out.append(outcome.record)
-        status = outcome.record.filter_status
-        if status is FilterStatus.KEPT:
-            stats.kept += 1
-        elif status is FilterStatus.REJECTED_BAD_JSON:
-            stats.rejected_bad_json += 1
-        elif status is FilterStatus.REJECTED_NON_VERBATIM:
-            stats.rejected_non_verbatim += 1
-        else:
-            stats.rejected_too_long += 1
+        bucket = _BUCKETS[outcome.record.filter_status]
+        setattr(stats, bucket, getattr(stats, bucket) + 1)
     return out, stats

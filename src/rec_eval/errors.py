@@ -13,6 +13,7 @@ __all__ = [
     "HaluGoldError",
     "LengthMismatchError",
     "EmptyInputError",
+    "SourceRecordError",
     "TemplateError",
     "UsageError",
 ]
@@ -56,6 +57,10 @@ class LengthMismatchError(RecError):
 
 class EmptyInputError(RecError):
     """An aggregate (accuracy, win rate, ...) was asked for over no items."""
+
+
+class SourceRecordError(RecError):
+    """A datagen source record is malformed: missing inputs, or prompts that cannot be built."""
 
 
 class TemplateError(RecError):

@@ -26,7 +26,7 @@ import requests
 
 from .errors import RecError
 from .prompts import PromptText
-from .tokens import TokenEstimator, estimate_tokens
+from .tokens import estimate_tokens
 
 __all__ = [
     "GatewayError",
@@ -327,13 +327,11 @@ class Gateway:
         max_retries: int = 2,
         backoff_s: float = 0.2,
         audit_log_path: str | Path | None = None,
-        token_estimator: TokenEstimator | None = None,
     ):
         self.backend = backend
         self.max_retries = max_retries
         self.backoff_s = backoff_s
         self.audit_log_path = Path(audit_log_path) if audit_log_path else None
-        self.token_estimator = token_estimator or estimate_tokens
         self._audit_lock = threading.Lock()
 
     def _audit(self, prompt: str, status: str, latency_ms: float, output_tokens: int | None, retries: int) -> None:
@@ -392,9 +390,9 @@ class Gateway:
         prompt_tokens = reply.prompt_tokens
         output_tokens = reply.output_tokens
         if prompt_tokens is None:
-            prompt_tokens = int(round(self.token_estimator(prompt)))
+            prompt_tokens = int(round(estimate_tokens(prompt)))
         if output_tokens is None:
-            output_tokens = int(round(self.token_estimator(reply.text)))
+            output_tokens = int(round(estimate_tokens(reply.text)))
         self._audit(prompt, "ok", latency_ms, output_tokens, attempt)
         return CompletionResult(
             text=reply.text,

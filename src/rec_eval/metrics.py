@@ -68,11 +68,6 @@ class GoldCitationSet:
     snippets: frozenset[str]
     halu: bool = False
 
-    def violations(self) -> list[str]:
-        if self.halu and self.snippets:
-            return ["a hallucination-marked gold set must have no snippets"]
-        return []
-
 
 def _snap_key(snippet: str, context: str | ContextDocument, policy: MatchPolicy) -> str:
     """Dedup/set key: the normalized full-sentence form of a snippet.

@@ -48,14 +48,6 @@ class EvaluationMetric:
     description: str
     scale: str = YES_NO_SCALE
 
-    def violations(self) -> list[str]:
-        out = []
-        if not self.description.strip():
-            out.append("metric description must be non-empty")
-        if not self.scale.strip():
-            out.append("metric scale must be non-empty")
-        return out
-
 
 # Catalog order is the canonical reporting order everywhere (CLI, datagen
 # fan-out, score report). The Faithfulness description is the exact sentence
@@ -108,8 +100,6 @@ def metric_by_name(name: str) -> EvaluationMetric:
 
 
 class SourceKind(str, Enum):
-    TASK_PROMPT = "TaskPrompt"
-    CONVERSATION = "Conversation"
     RETRIEVED_CHUNK = "RetrievedChunk"
     DOCUMENT = "Document"
 
@@ -121,9 +111,6 @@ class ContextDocument:
     body: str
     context_id: str | None = None
     source_kind: SourceKind = SourceKind.DOCUMENT
-
-    def violations(self) -> list[str]:
-        return [] if self.body else ["context body must be non-empty"]
 
 
 class CitationMode(str, Enum):
@@ -293,12 +280,6 @@ class RagCitationOutput:
     mode: CitationMode
     extra: dict[str, Any] = field(default_factory=dict, compare=False, repr=False)
 
-    def violations(self) -> list[str]:
-        out = []
-        for i, entry in enumerate(self.citations):
-            out.extend(f"citations[{i}]: {v}" for v in entry.violations_for_mode(self.mode))
-        return out
-
     def cited_ids(self) -> tuple[str, ...]:
         """Distinct real context ids, first appearance order."""
         seen: list[str] = []
@@ -315,14 +296,6 @@ class PointwiseVerdict:
     metriclabel: str  # "Yes" | "No"
     justification: str
     extra: dict[str, Any] = field(default_factory=dict, compare=False, repr=False)
-
-    def violations(self) -> list[str]:
-        out = []
-        if self.metriclabel not in ("Yes", "No"):
-            out.append(f'metriclabel must be "Yes" or "No", got {self.metriclabel!r}')
-        if not self.justification:
-            out.append("justification must be non-empty")
-        return out
 
 
 class TaskType(str, Enum):
@@ -347,15 +320,6 @@ class UnifiedTaskRecord:
     source_dataset: str
     filter_status: FilterStatus
 
-    def violations(self) -> list[str]:
-        out = []
-        if self.filter_status is FilterStatus.KEPT:
-            if not self.prompt:
-                out.append("kept record must have a non-empty prompt")
-            if not self.completion:
-                out.append("kept record must have a non-empty completion")
-        return out
-
 
 class Verdict(str, Enum):
     A = "A"
@@ -377,9 +341,6 @@ class PairwiseJudgment:
     response_b: str
     verdict: Verdict
     presentation_order: PresentationOrder = PresentationOrder.AB
-
-    def violations(self) -> list[str]:
-        return [] if self.instruction else ["instruction must be non-empty"]
 
 
 class InvalidModelError(ValueError):

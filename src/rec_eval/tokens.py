@@ -2,16 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Callable
-
-__all__ = ["TokenEstimator", "estimate_tokens"]
-
-#: Maps text to an estimated token count.
-TokenEstimator = Callable[[str], float]
+__all__ = ["estimate_tokens"]
 
 DEFAULT_TOKENS_PER_WORD = 1.3
 
 
-def estimate_tokens(text: str, tokens_per_word: float = DEFAULT_TOKENS_PER_WORD) -> float:
+def estimate_tokens(text: str) -> float:
     """Estimate tokens as a multiple of the whitespace-separated word count."""
-    return tokens_per_word * len(text.split())
+    return DEFAULT_TOKENS_PER_WORD * len(text.split())
