@@ -13,12 +13,13 @@ import logging
 import os
 import sys
 from enum import IntEnum
+from functools import cache
 from pathlib import Path
 from typing import Any, Callable
 
 from . import schema_io
 from .datagen import DEFAULT_MAX_TOKENS, PipelineConfig, SourceRecord, generate
-from .errors import ClaimNotFoundError, RecError, SourceRecordError, UsageError
+from .errors import ClaimNotFoundError, RecError, SourceRecordError, TemplateError, UsageError
 from .gateway import (
     CompletionRequest,
     Gateway,
@@ -55,7 +56,7 @@ from .prompts import (
     build_rag_cite_prompt,
 )
 from .render import RenderedText, render_quality, render_rag
-from .verify import MatchPolicy, check_reply, parse_match_policy
+from .verify import MatchPolicy, SourceIndex, check_reply, parse_match_policy
 # Unused here, but bound so a traced benchmark run can wrap them by name.
 from .verify import verify_quality_output, verify_rag_output  # noqa: F401
 
@@ -139,6 +140,17 @@ def _make_gateway(args: argparse.Namespace, config: dict[str, Any]) -> Gateway:
 
 def _templates(args: argparse.Namespace) -> TemplateSet | None:
     return TemplateSet(args.template_dir) if args.template_dir else None
+
+
+def _parallelism(value: Any) -> int:
+    """A worker count from --parallelism (as its argparse type) or the config."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError):
+        count = 0
+    if count < 1:
+        raise UsageError(f"parallelism must be an integer of at least 1, not {value!r}")
+    return count
 
 
 def _policy(args: argparse.Namespace) -> MatchPolicy:
@@ -390,6 +402,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         preds = [{**p, **g} for p, g in zip(preds, golds)]
     contexts = _context_map(args.contexts)
     policy = _policy(args)
+    index = cache(SourceIndex)  # one per context, however many records cite it
 
     by_metric: dict[str, dict[str, list]] = {}
     excluded_halu = 0
@@ -417,7 +430,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         context_ref = str(rec.get("context_ref", ""))
         if context_ref not in contexts:
             missing_context += 1  # scored against empty text, so nothing snaps
-        context = contexts.get(context_ref, "")
+        context = index(contexts.get(context_ref, ""))
         bucket["prf"].append(citation_prf(predicted, gold, context, policy))
 
     per_metric: dict[str, Any] = {}
@@ -465,7 +478,7 @@ def cmd_judge(args: argparse.Namespace) -> int:
             requests.append(CompletionRequest(prompt=prompt_ba, seed=args.seed))
             layout.append((i, PresentationOrder.BA))
 
-    parallelism = args.parallelism or int(config.get("parallelism", 4))
+    parallelism = _parallelism(args.parallelism or config.get("parallelism", 4))
     slots = gateway.complete_batch(requests, parallelism=parallelism)
     failures = [slot for slot in slots if isinstance(slot, GatewayError)]
     if failures:
@@ -553,7 +566,7 @@ def cmd_datagen(args: argparse.Namespace) -> int:
     metrics = _parse_metrics(args.metrics)
     gateway = _make_gateway(args, config_file)
     pipeline = PipelineConfig(
-        parallelism=args.parallelism or int(config_file.get("parallelism", 4)),
+        parallelism=_parallelism(args.parallelism or config_file.get("parallelism", 4)),
         max_tokens=args.max_tokens,
         seed=args.seed,
     )
@@ -631,7 +644,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("judge", help="pairwise-judge preference pairs")
     p.add_argument("--pairs", required=True, help="JSONL of {instruction, chosen, rejected}")
     p.add_argument("--both-orders", action="store_true", help="judge each pair in both presentation orders")
-    p.add_argument("--parallelism", type=int, help="concurrent judge calls")
+    p.add_argument("--parallelism", type=_parallelism, help="concurrent judge calls")
     _common_options(p)
     p.set_defaults(func=cmd_judge)
 
@@ -642,7 +655,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output JSONL of unified task records")
     p.add_argument("--stats", help="JSON file for the filter stats")
     p.add_argument("--max-tokens", type=float, default=DEFAULT_MAX_TOKENS, help="inclusive prompt+completion budget")
-    p.add_argument("--parallelism", type=int, help="concurrent generation calls")
+    p.add_argument("--parallelism", type=_parallelism, help="concurrent generation calls")
     p.add_argument("--keep-rejected", action="store_true", help="write rejected records too, with their status")
     _common_options(p)
     p.set_defaults(func=cmd_datagen)
@@ -656,7 +669,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return int(args.func(args))
-    except UsageError as exc:
+    except (UsageError, TemplateError) as exc:  # a bad --template-dir file is bad input
         print(f"usage error: {exc}", file=sys.stderr)
         return ExitCode.USAGE
     except GatewayError as exc:

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .errors import EmptyInputError, HaluGoldError, LengthMismatchError, SnippetNotFoundError
 from .model import CitationSnippet, ContextDocument, PairwiseJudgment, Verdict
-from .verify import MatchPolicy, normalize, snap_to_sentences
+from .verify import MatchPolicy, SourceIndex, normalize, snap_to_sentences
 
 __all__ = [
     "PRF",
@@ -69,7 +69,7 @@ class GoldCitationSet:
     halu: bool = False
 
 
-def _snap_key(snippet: str, context: str | ContextDocument, policy: MatchPolicy) -> str:
+def _snap_key(snippet: str, context: SourceIndex, policy: MatchPolicy) -> str:
     """Dedup/set key: the normalized full-sentence form of a snippet.
 
     A snippet that cannot be located keeps its own normalized text as the
@@ -84,16 +84,18 @@ def _snap_key(snippet: str, context: str | ContextDocument, policy: MatchPolicy)
 def citation_prf(
     predicted: Sequence[CitationSnippet | str],
     gold: GoldCitationSet,
-    context: str | ContextDocument,
+    context: str | ContextDocument | SourceIndex,
     policy: MatchPolicy = MatchPolicy.NORMALIZED,
 ) -> PRF:
     """Sentence-level precision/recall/F1 of predicted citations against gold.
 
     Raises HaluGoldError for hallucination-marked gold: those items are
-    excluded upstream, never scored.
+    excluded upstream, never scored. Pass a SourceIndex to score many items
+    against one context without renormalizing it.
     """
     if gold.halu:
         raise HaluGoldError("gold set is hallucination-marked; item must be excluded, not scored")
+    context = SourceIndex.of(context)
     pred_keys = {
         _snap_key(p.snippet if isinstance(p, CitationSnippet) else p, context, policy)
         for p in predicted

@@ -106,7 +106,7 @@ def _fill(template: str, slots: dict[str, str], template_id: TemplateId) -> Prom
     markers = set(_SLOT_RE.findall(template))
     unfilled = markers - slots.keys()
     if unfilled:
-        raise TemplateError(f"unfilled template slots: {sorted(unfilled)}")
+        raise TemplateError(f"unknown slots {sorted(unfilled)} in the {template_id.value} template")
     # re.sub never rescans replacement text, so slot values containing
     # brace-delimited words cannot smuggle in new markers.
     text = _SLOT_RE.sub(lambda m: slots[m.group(1)], template)

@@ -20,7 +20,7 @@ from .model import (
     QualityEvalOutput,
     RagCitationOutput,
 )
-from .verify import MatchPolicy, normalize, verify_snippet
+from .verify import MatchPolicy, SourceIndex, normalize, verify_snippet
 
 __all__ = [
     "Reference",
@@ -122,6 +122,7 @@ def render_quality(out: QualityEvalOutput, mode: CitationMode) -> RenderedText:
     else:
         insertions: list[tuple[int, str]] = []
         trailing: list[str] = []
+        feedback = SourceIndex(out.feedback)
         for i, st in enumerate(out.statements):
             per_statement: list[int] = []
             for cit in st.citations:
@@ -130,7 +131,7 @@ def render_quality(out: QualityEvalOutput, mode: CitationMode) -> RenderedText:
                     per_statement.append(n)
             if not per_statement:
                 continue
-            hit = verify_snippet(st.statement_string, out.feedback, MatchPolicy.NORMALIZED)
+            hit = verify_snippet(st.statement_string, feedback, MatchPolicy.NORMALIZED)
             if hit.found:
                 insertions.append((hit.char_span[1], _markers(per_statement)))
             else:
@@ -180,13 +181,14 @@ def render_rag(
 
     if mode.wants_claim:
         insertions: list[tuple[int, str]] = []
+        answer_index = SourceIndex(answer)
         for i, entry in enumerate(out.citations):
             if entry.claim is None:
                 continue
             if entry.context_id == NO_SUPPORT_ID:
                 warnings.append(f"citation {i} has no supporting chunk; claim left unmarked")
                 continue
-            hit = verify_snippet(entry.claim, answer, MatchPolicy.NORMALIZED)
+            hit = verify_snippet(entry.claim, answer_index, MatchPolicy.NORMALIZED)
             if not hit.found:
                 raise ClaimNotFoundError(f"claim not found in answer: {entry.claim!r}")
             insertions.append((hit.char_span[1], f"[{entry.context_id}]"))

@@ -3,15 +3,20 @@
 Matching runs either Strict (exact substring) or Normalized (Unicode NFC,
 whitespace runs collapsed to one space, ends trimmed). Either way, reported
 spans are offsets into the *un-normalized* source, in Unicode scalar values,
-never bytes: the normalizer keeps an index map back to the original text
-instead of searching a mutated copy.
+never bytes: one SourceIndex per source text keeps a map back to it instead
+of searching a mutated copy.
 """
 
 from __future__ import annotations
 
+import re
 import unicodedata
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache, cached_property
+from operator import itemgetter
 from typing import Any
 
 from . import schema_io
@@ -35,6 +40,7 @@ __all__ = [
     "ClaimCheck",
     "VerificationReport",
     "normalize",
+    "SourceIndex",
     "verify_snippet",
     "verify_quality_output",
     "verify_rag_output",
@@ -90,9 +96,70 @@ def _normalize_with_map(text: str) -> tuple[str, list[int], list[int]]:
     return "".join(chars), starts, ends
 
 
+def _normal_tokens(text: str) -> tuple[list[str], dict[int, tuple[list[int], list[int]]]]:
+    """Normalized tokens of text, and by token number the char maps of the non-NFC ones."""
+    tokens = text.split()
+    maps: dict[int, tuple[list[int], list[int]]] = {}
+    if not (text.isascii() or unicodedata.is_normalized("NFC", text)):
+        for k, token in enumerate(tokens):
+            if not unicodedata.is_normalized("NFC", token):
+                tokens[k], starts, ends = _normalize_with_map(token)
+                maps[k] = (starts, ends)
+    return tokens, maps
+
+
 def normalize(text: str) -> str:
     """The Normalized-policy text form: NFC, collapsed whitespace, trimmed."""
-    return _normalize_with_map(text)[0]
+    return " ".join(_normal_tokens(text)[0])
+
+
+class SourceIndex:
+    """One source text that many checks share; immutable.
+
+    Pass it to every verify_snippet, snap_to_sentences or citation_prf call
+    against that text. Its Normalized form with the map back to body, and
+    its sentence spans, are each computed once, on first use.
+    """
+
+    def __init__(self, body: str):
+        self.body = body
+
+    @classmethod
+    def of(cls, source: str | ContextDocument | SourceIndex) -> SourceIndex:
+        if isinstance(source, SourceIndex):
+            return source
+        return cls(source.body if isinstance(source, ContextDocument) else source)
+
+    @cached_property
+    def norm(self) -> str:
+        """body in Normalized form. The map back to body it sets up holds each
+        token's start in both texts, plus the char maps of non-NFC tokens."""
+        tokens, self._maps = _normal_tokens(self.body)
+        norm = " ".join(tokens)
+        self._body_starts = array("q", map(re.Match.start, re.finditer(r"\S+", self.body)))
+        self._norm_starts = array("q", map(re.Match.start, re.finditer(r"\S+", norm)))
+        return norm
+
+    def _to_body(self, pos: int, side: int) -> int:
+        """Body offset where the char norm[pos] starts (side 0) or ends (side 1)."""
+        k = bisect_right(self._norm_starts, pos) - 1
+        off = pos - self._norm_starts[k]
+        char_map = self._maps.get(k)
+        return self._body_starts[k] + (char_map[side][off] if char_map else off + side)
+
+    def span(self, start: int, end: int) -> tuple[int, int]:
+        """Body span of norm[start:end] (no blank ends), in whole base+marks pieces."""
+        first, last = self._to_body(start, 0), self._to_body(end - 1, 1)
+        while first > 0 and unicodedata.combining(self.body[first]):
+            first -= 1
+        while last < len(self.body) and unicodedata.combining(self.body[last]):
+            last += 1
+        return first, last
+
+    @cached_property
+    def sentence_spans(self) -> list[tuple[int, int]]:
+        """The spans of segment_sentences(body), computed on first use."""
+        return [span for _, span in segment_sentences(self.body)]
 
 
 @dataclass(frozen=True)
@@ -117,7 +184,7 @@ class MatchResult:
 
 def verify_snippet(
     snippet: str,
-    context: str | ContextDocument,
+    context: str | ContextDocument | SourceIndex,
     policy: MatchPolicy = MatchPolicy.NORMALIZED,
 ) -> MatchResult:
     """Locate snippet in context under the given policy.
@@ -127,21 +194,20 @@ def verify_snippet(
     """
     if not snippet:
         raise ValueError("snippet must be non-empty")
-    body = context.body if isinstance(context, ContextDocument) else context
     if policy is MatchPolicy.STRICT:
+        body = context if isinstance(context, str) else context.body
         idx = body.find(snippet)
         if idx < 0:
             return MatchResult(False)
         return MatchResult(True, (idx, idx + len(snippet)), body.count(snippet))
-    norm_ctx, starts, ends = _normalize_with_map(body)
+    index = SourceIndex.of(context)
     norm_snip = normalize(snippet)
     if not norm_snip:
         return MatchResult(False)
-    idx = norm_ctx.find(norm_snip)
+    idx = index.norm.find(norm_snip)
     if idx < 0:
         return MatchResult(False)
-    span = (starts[idx], ends[idx + len(norm_snip) - 1])
-    return MatchResult(True, span, norm_ctx.count(norm_snip))
+    return MatchResult(True, index.span(idx, idx + len(norm_snip)), index.norm.count(norm_snip))
 
 
 @dataclass(frozen=True)
@@ -209,16 +275,17 @@ def verify_quality_output(
     always checked under the Normalized policy: whitespace reflow inside
     feedback must not flag a statement.
     """
+    source, feedback = SourceIndex.of(context), SourceIndex(out.feedback)
     checks: list[CitationCheck] = []
     idx = 0
     for st in out.statements:
         for cit in st.citations:
             checks.append(
-                CitationCheck(idx, cit.snippet, verify_snippet(cit.snippet, context, policy))
+                CitationCheck(idx, cit.snippet, verify_snippet(cit.snippet, source, policy))
             )
             idx += 1
     extractive = tuple(
-        verify_snippet(st.statement_string, out.feedback, MatchPolicy.NORMALIZED).found
+        verify_snippet(st.statement_string, feedback, MatchPolicy.NORMALIZED).found
         if st.statement_string
         else False
         for st in out.statements
@@ -249,6 +316,7 @@ def verify_rag_output(
             raise DuplicateContextIdError(f"duplicate context_id {chunk.context_id!r}")
         bodies[chunk.context_id] = chunk.body
 
+    index = cache(SourceIndex)  # each cited chunk and the answer, on first use
     citation_checks: list[CitationCheck] = []
     claim_checks: list[ClaimCheck] = []
     for i, entry in enumerate(out.citations):
@@ -259,12 +327,12 @@ def verify_rag_output(
                 CitationCheck(
                     i,
                     entry.snippet,
-                    verify_snippet(entry.snippet, bodies[entry.context_id], policy),
+                    verify_snippet(entry.snippet, index(bodies[entry.context_id]), policy),
                     context_id=entry.context_id,
                 )
             )
         if entry.claim is not None:
-            claim_checks.append(ClaimCheck(i, entry.claim, verify_snippet(entry.claim, answer, policy)))
+            claim_checks.append(ClaimCheck(i, entry.claim, verify_snippet(entry.claim, index(answer), policy)))
 
     claims_verbatim: bool | None = None
     if out.mode.wants_claim:
@@ -397,7 +465,7 @@ def segment_sentences(text: str) -> list[tuple[str, tuple[int, int]]]:
 
 def snap_to_sentences(
     snippet: str,
-    context: str | ContextDocument,
+    context: str | ContextDocument | SourceIndex,
     policy: MatchPolicy = MatchPolicy.NORMALIZED,
 ) -> str:
     """Expand snippet to the minimal run of whole context sentences covering it.
@@ -405,14 +473,18 @@ def snap_to_sentences(
     Idempotent: snapping an already snapped snippet returns it unchanged.
     Raises SnippetNotFoundError when the snippet is not in the context.
     """
-    body = context.body if isinstance(context, ContextDocument) else context
-    result = verify_snippet(snippet, body, policy)
+    index = SourceIndex.of(context)
+    result = verify_snippet(snippet, index, policy)
     if not result.found:
         raise SnippetNotFoundError(f"snippet not found in context: {snippet!r}")
     s, e = result.char_span  # type: ignore[misc]
-    covering = [span for _, span in segment_sentences(body) if span[0] < e and span[1] > s]
-    if not covering:
+    # Spans are ordered and disjoint: those overlapping [s, e) run from the
+    # first that ends after s to the last that starts before e.
+    spans = index.sentence_spans
+    first = bisect_right(spans, s, key=itemgetter(1))
+    stop = bisect_left(spans, e, first, key=itemgetter(0))
+    if first == stop:
         # Whitespace-only strict match sitting between sentences; nothing to
         # snap to, so hand back the matched region itself.
-        return body[s:e]
-    return body[covering[0][0] : covering[-1][1]]
+        return index.body[s:e]
+    return index.body[spans[first][0] : spans[stop - 1][1]]

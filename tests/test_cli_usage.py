@@ -1,0 +1,75 @@
+"""Bad templates and worker counts are usage errors (exit 1), found before any backend call."""
+
+import json
+
+import pytest
+
+from rec_eval.cli import main
+from rec_eval.gateway import MockBackend
+
+REPLY = {
+    "answer": "Yes",
+    "feedback": "Fine.",
+    "statements": [{"statement_string": "Fine.", "citations": ["Refunds take three days."]}],
+}
+CTX = "The store opens at nine. Refunds take three days."
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    def no_backend_call(self, prompt, **kwargs):
+        raise AssertionError("the backend was called")
+
+    monkeypatch.setattr(MockBackend, "send", no_backend_call)
+    (tmp_path / "context.txt").write_text(CTX, encoding="utf-8")
+    (tmp_path / "generation.txt").write_text("A summary.", encoding="utf-8")
+    (tmp_path / "script.json").write_text(
+        json.dumps({"rules": [], "default": json.dumps(REPLY)}), encoding="utf-8"
+    )
+    source = {"source_dataset": "demo", "inputs": {"task_prompt": CTX, "generation": "gen"}}
+    (tmp_path / "sources.jsonl").write_text(json.dumps(source) + "\n", encoding="utf-8")
+    pair = {"instruction": "i", "chosen": "a", "rejected": "b"}
+    (tmp_path / "pairs.jsonl").write_text(json.dumps(pair) + "\n", encoding="utf-8")
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    (templates / "quality_eval.txt").write_text("Rate {generation} by {bogus}.", encoding="utf-8")
+    return tmp_path
+
+
+def _evaluate(d):
+    return ["evaluate", "--context", str(d / "context.txt"), "--generation", str(d / "generation.txt"),
+            "--metric", "faithfulness", "--backend", f"mock:{d / 'script.json'}"]
+
+
+def _datagen(d):
+    return ["datagen", "--input", str(d / "sources.jsonl"), "--task", "cite-quality",
+            "--out", str(d / "data.jsonl"), "--backend", f"mock:{d / 'script.json'}"]
+
+
+def _judge(d):
+    return ["judge", "--pairs", str(d / "pairs.jsonl"), "--backend", f"mock:{d / 'script.json'}"]
+
+
+@pytest.mark.parametrize("command", [_evaluate, _datagen])
+def test_template_with_an_unknown_slot_is_a_usage_error(workdir, capsys, command):
+    code = main(command(workdir) + ["--template-dir", str(workdir / "templates")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "usage error" in err and "bogus" in err and "QualityEval" in err
+    assert "Traceback" not in err
+    assert not (workdir / "data.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", [_datagen, _judge])
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_parallelism_flag_below_one_is_a_usage_error(workdir, capsys, command, value):
+    assert main(command(workdir) + ["--parallelism", value]) == 1
+    assert "parallelism" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [_datagen, _judge])
+@pytest.mark.parametrize("value", [0, -1, "x", None])
+def test_config_parallelism_below_one_is_a_usage_error(workdir, capsys, command, value):
+    (workdir / "config.json").write_text(json.dumps({"parallelism": value}), encoding="utf-8")
+    assert main(command(workdir) + ["--config", str(workdir / "config.json")]) == 1
+    assert "parallelism" in capsys.readouterr().err
