@@ -3,7 +3,9 @@
 The HTTP backend speaks the common chat-completions wire shape (model,
 messages, temperature, max_tokens) and authenticates via a bearer token
 taken from REC_API_KEY; the credential travels only in the Authorization
-header, never in the request body. The mock backend answers from a script,
+header, never in the request body. It imports the stdlib's http.client on
+first use, so importing this module loads no HTTP stack; HTTP_PROXY,
+HTTPS_PROXY and NO_PROXY apply. The mock backend answers from a script,
 deterministically, and instruments concurrency so tests can assert the
 parallelism bound.
 """
@@ -21,8 +23,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Protocol, Sequence
-
-import requests
 
 from .errors import RecError
 from .prompts import PromptText
@@ -132,7 +132,7 @@ def prompt_sha256(prompt: str) -> str:
 
 
 class HttpBackend:
-    """Chat-completions client for an OpenAI-style endpoint."""
+    """Chat-completions client for an OpenAI-style endpoint; one keep-alive connection per thread."""
 
     def __init__(
         self,
@@ -141,13 +141,57 @@ class HttpBackend:
         *,
         api_key: str | None = None,
         timeout_ms: int = 60_000,
-        session: requests.Session | None = None,
     ):
         self.base_url = base_url
         self.model_name = model_name
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self.timeout_ms = timeout_ms
-        self._session = session or requests.Session()
+        self._local = threading.local()
+
+    def _connect(self) -> tuple[Any, str]:
+        """A connection to the backend, or to its proxy, and the request target to send on it."""
+        import http.client
+        import ssl
+        import urllib.parse
+        import urllib.request
+
+        url = urllib.parse.urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise TransportError(f"not an http(s) URL: {self.base_url!r}")
+        target = (url.path or "/") + ("?" + url.query if url.query else "")
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and urllib.request.proxy_bypass(url.hostname):
+            proxy = None
+        via = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy) if proxy else url
+        address = (via.hostname, via.port or (443 if via.scheme == "https" else 80))
+        if url.scheme == "http":
+            target = f"http://{url.netloc}{target}" if proxy else target
+            return http.client.HTTPConnection(*address, timeout=self.timeout_ms / 1000), target
+        conn = http.client.HTTPSConnection(*address, timeout=self.timeout_ms / 1000, context=ssl.create_default_context())
+        if proxy:
+            conn.set_tunnel(url.hostname, url.port or 443)
+        return conn, target
+
+    def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """POST on this thread's connection, reopening it once if a kept-alive socket went stale."""
+        import http.client
+        if not hasattr(self._local, "conn"):
+            self._local.conn, self._local.target = self._connect()
+        conn = self._local.conn
+        try:
+            for may_be_stale in (conn.sock is not None, False):
+                try:
+                    conn.request("POST", self._local.target, body, headers)
+                    response = conn.getresponse()
+                    break
+                except ConnectionError:
+                    if not may_be_stale:
+                        raise
+                    conn.close()
+            return response.status, response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise TransportError(str(exc) or type(exc).__name__) from exc
 
     def send(
         self,
@@ -165,39 +209,32 @@ class HttpBackend:
         }
         if seed is not None:
             payload["seed"] = seed
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", "User-Agent": "rec-eval"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        try:
-            response = self._session.post(
-                self.base_url,
-                json=payload,
-                headers=headers,
-                timeout=self.timeout_ms / 1000.0,
-            )
-        except requests.RequestException as exc:
-            raise TransportError(str(exc)) from exc
+        status, raw = self._post(json.dumps(payload, allow_nan=False).encode("utf-8"), headers)
 
-        if response.status_code in (401, 403):
-            raise AuthFailureError(f"HTTP {response.status_code} from backend")
-        if response.status_code == 429 or response.status_code >= 500:
-            raise TransportError(f"HTTP {response.status_code} from backend")
-        if response.status_code >= 400:
-            raise BackendRefusalError(f"HTTP {response.status_code}: {response.text[:200]}")
+        if status in (401, 403):
+            raise AuthFailureError(f"HTTP {status} from backend")
+        if status == 429 or status >= 500:
+            raise TransportError(f"HTTP {status} from backend")
+        if status >= 400:
+            raise BackendRefusalError(f"HTTP {status}: {raw.decode('utf-8', 'replace')[:200]}")
 
         try:
-            body = response.json()
+            body = json.loads(raw)
             choice = body["choices"][0]
             text = choice["message"]["content"]
             if not isinstance(text, str):
                 raise TypeError("content is not a string")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendRefusalError(f"malformed backend reply: {exc}") from exc
-        usage = body.get("usage") or {}
+        usage = body.get("usage")
+        counts = {k: n for k, n in usage.items() if type(n) is int and n >= 0} if isinstance(usage, dict) else {}
         return BackendReply(
             text=text,
-            prompt_tokens=usage.get("prompt_tokens"),
-            output_tokens=usage.get("completion_tokens"),
+            prompt_tokens=counts.get("prompt_tokens"),
+            output_tokens=counts.get("completion_tokens"),
             truncated=choice.get("finish_reason") == "length",
         )
 
@@ -379,9 +416,12 @@ class Gateway:
             except AuthFailureError:
                 self._audit(prompt, "auth_failure", (time.perf_counter() - started) * 1000, None, attempt)
                 raise
-            except GatewayError:
+            except Exception as exc:
                 self._audit(prompt, "backend_refusal", (time.perf_counter() - started) * 1000, None, attempt)
-                raise
+                if isinstance(exc, GatewayError):
+                    raise
+                logger.exception("backend raised %s", type(exc).__name__)
+                raise BackendRefusalError(f"backend raised {type(exc).__name__}: {exc}") from exc
 
         latency_ms = (time.perf_counter() - started) * 1000
         if not reply.text and not reply.truncated:

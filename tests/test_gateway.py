@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -246,9 +249,25 @@ def test_complete_batch_cancel_event_marks_remaining():
 
 
 class _Script(BaseHTTPRequestHandler):
-    # class-level script the test mutates: list of (status, body_dict)
+    """HTTP/1.1 keep-alive handler driven by class-level state the tests set.
+
+    script is a list of (status, body_dict) replies; when it is empty the
+    handler echoes the prompt. With drop_idle set, it closes each connection
+    after its first reply without saying so, as a server does to a socket
+    that sat idle too long.
+    """
+
+    protocol_version = "HTTP/1.1"
+    lock = threading.Lock()
     script = []
     seen = []
+    connections = 0
+    drop_idle = False
+
+    def setup(self):
+        super().setup()
+        with type(self).lock:
+            type(self).connections += 1
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -256,28 +275,36 @@ class _Script(BaseHTTPRequestHandler):
         type(self).seen.append(
             {"headers": dict(self.headers), "body": body, "path": self.path}
         )
-        status, reply = type(self).script.pop(0)
+        if type(self).script:
+            status, reply = type(self).script.pop(0)
+        else:
+            status, reply = 200, _ok_body("echo:" + body["messages"][0]["content"])
         payload = json.dumps(reply).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
         self.wfile.write(payload)
+        self.close_connection = type(self).drop_idle
 
     def log_message(self, *args):
         pass
 
 
 @pytest.fixture
-def http_server():
+def http_server(monkeypatch):
+    for name in ("HTTP_PROXY", "http_proxy", "NO_PROXY", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Script)
-    _Script.script = []
-    _Script.seen = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    _Script.script, _Script.seen, _Script.connections, _Script.drop_idle = [], [], 0, False
+    # a short poll keeps shutdown() from waiting out the default 0.5 s
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     yield server, f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
     thread.join(timeout=2)
+    assert not thread.is_alive()
 
 
 def _ok_body(text, finish="stop"):
@@ -369,3 +396,93 @@ def test_http_backend_connection_error_is_transport():
     gw = _gw(backend)
     with pytest.raises(TransportError):
         gw.complete(CompletionRequest(prompt="p"))
+
+
+@pytest.mark.parametrize("count", ["12", True, -3, 2.5, None])
+def test_http_backend_estimates_token_counts_it_cannot_use(http_server, count):
+    server, url = http_server
+    # None stands for a usage field that is not an object at all
+    usage = [1] if count is None else {"prompt_tokens": 4, "completion_tokens": count}
+    _Script.script.extend([(200, {"choices": [{"message": {"content": "three word reply"}}], "usage": usage})] * 2)
+    slots = _gw(HttpBackend(url, "m")).complete_batch(
+        [CompletionRequest(prompt="p one"), CompletionRequest(prompt="p two")], parallelism=2
+    )
+    assert [s.output_tokens for s in slots] == [round(3 * 1.3)] * 2
+    assert [s.prompt_tokens for s in slots] == [round(2 * 1.3) if count is None else 4] * 2
+
+
+def test_backend_exception_of_another_type_fails_only_its_slot(tmp_path, caplog):
+    def brittle(prompt):
+        if "bad" in prompt:
+            raise ValueError("boom")
+        return "fine"
+
+    audit = tmp_path / "audit.jsonl"
+    gw = _gw(MockBackend(brittle), audit_log_path=str(audit))
+    slots = gw.complete_batch([CompletionRequest(prompt="good"), CompletionRequest(prompt="bad")], parallelism=2)
+    assert slots[0].text == "fine"
+    assert isinstance(slots[1], BackendRefusalError)
+    assert "ValueError" in str(slots[1]) and "boom" in str(slots[1])
+    statuses = sorted(json.loads(line)["status"] for line in audit.read_text().splitlines())
+    assert statuses == ["backend_refusal", "ok"]
+    assert sum(r.exc_info is not None for r in caplog.records) == 1
+
+
+def test_import_and_score_load_no_http_stack(tmp_path):
+    pred, ctx = tmp_path / "pred.jsonl", tmp_path / "ctx.jsonl"
+    pred.write_text(json.dumps({"context_ref": "c", "gold": ["A b."], "predicted_citations": ["A b."]}) + "\n")
+    ctx.write_text(json.dumps({"context_id": "c", "body": "A b. C d."}) + "\n")
+    script = (
+        "import sys\n"
+        "import rec_eval.cli\n"
+        "loaded = lambda: sorted({'requests', 'http.client'} & set(sys.modules))\n"
+        "assert loaded() == [], loaded()\n"
+        f"assert rec_eval.cli.main(['score', '--pred', {str(pred)!r}, '--contexts', {str(ctx)!r}]) == 0\n"
+        "assert loaded() == [], loaded()\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_http_backend_keeps_one_connection_per_thread(http_server):
+    server, url = http_server
+    gw = _gw(HttpBackend(url, "m"))
+    assert gw.complete(CompletionRequest(prompt="one")).text == "echo:one"
+    assert gw.complete(CompletionRequest(prompt="two")).text == "echo:two"
+    assert _Script.connections == 1
+
+
+def test_http_backend_reopens_a_stale_connection_without_a_retry(http_server, tmp_path):
+    server, url = http_server
+    _Script.drop_idle = True
+    audit = tmp_path / "audit.jsonl"
+    gw = _gw(HttpBackend(url, "m"), max_retries=0, audit_log_path=str(audit))
+    assert gw.complete(CompletionRequest(prompt="one")).text == "echo:one"
+    assert gw.complete(CompletionRequest(prompt="two")).text == "echo:two"
+    assert [json.loads(line)["retries"] for line in audit.read_text().splitlines()] == [0, 0]
+    assert _Script.connections == 2
+
+
+def test_http_backend_batch_over_a_live_server_keeps_order(http_server):
+    server, url = http_server
+    prompts = [f"p{i}" for i in range(12)]
+    slots = _gw(HttpBackend(url, "m")).complete_batch([CompletionRequest(prompt=p) for p in prompts], parallelism=4)
+    assert [s.text for s in slots] == [f"echo:{p}" for p in prompts]
+    assert _Script.connections <= 4
+
+
+def test_http_backend_goes_through_http_proxy_unless_no_proxy(http_server, monkeypatch):
+    server, url = http_server
+    proxy = f"http://127.0.0.1:{server.server_address[1]}"
+    monkeypatch.setenv("HTTP_PROXY", proxy)
+    remote = "http://backend.invalid/v1/chat/completions?v=1"
+    assert _gw(HttpBackend(remote, "m")).complete(CompletionRequest(prompt="p")).text == "echo:p"
+    assert [seen["path"] for seen in _Script.seen] == [remote]
+
+    # the proxy now points at a closed port; NO_PROXY must route around it
+    monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:1")
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    assert _gw(HttpBackend(url, "m")).complete(CompletionRequest(prompt="q")).text == "echo:q"
+    assert [seen["path"] for seen in _Script.seen] == [remote, "/v1/chat/completions"]
