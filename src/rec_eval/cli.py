@@ -153,6 +153,17 @@ def _parallelism(value: Any) -> int:
     return count
 
 
+def _max_tokens(value: str) -> float:
+    """The --max-tokens budget (as its argparse type): above 0, inf allowed."""
+    try:
+        budget = float(value)
+    except ValueError:
+        budget = 0.0
+    if not budget > 0:  # also rejects NaN
+        raise UsageError(f"max-tokens must be a number above 0, not {value!r}")
+    return budget
+
+
 def _policy(args: argparse.Namespace) -> MatchPolicy:
     return parse_match_policy(args.policy)
 
@@ -407,9 +418,13 @@ def cmd_score(args: argparse.Namespace) -> int:
     by_metric: dict[str, dict[str, list]] = {}
     excluded_halu = 0
     missing_context = 0
-    for rec in preds:
+    for i, rec in enumerate(preds, start=1):
         if not isinstance(rec, dict):
-            raise UsageError("every score record must be a JSON object")
+            raise UsageError(f"{args.pred} line {i}: every score record must be a JSON object")
+        for key in ("predicted_citations", "gold", "gold_a", "gold_b"):
+            value = rec.get(key)
+            if value is not None and not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
+                raise UsageError(f"{args.pred} line {i}: {key} must be a list of strings")
         name = rec.get("metric") or "overall"
         try:
             name = metric_by_name(str(name)).name.value
@@ -654,7 +669,7 @@ def build_parser() -> _Parser:
     p.add_argument("--metrics", help="comma list, e.g. f,if,coh,comp (pointwise fan-out)")
     p.add_argument("--out", required=True, help="output JSONL of unified task records")
     p.add_argument("--stats", help="JSON file for the filter stats")
-    p.add_argument("--max-tokens", type=float, default=DEFAULT_MAX_TOKENS, help="inclusive prompt+completion budget")
+    p.add_argument("--max-tokens", type=_max_tokens, default=DEFAULT_MAX_TOKENS, help="inclusive prompt+completion budget")
     p.add_argument("--parallelism", type=_parallelism, help="concurrent generation calls")
     p.add_argument("--keep-rejected", action="store_true", help="write rejected records too, with their status")
     _common_options(p)

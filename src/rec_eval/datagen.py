@@ -42,16 +42,6 @@ from .verify import MatchPolicy, check_reply
 # Unused here, but bound so a traced benchmark run can wrap them by name.
 from .verify import verify_quality_output, verify_rag_output  # noqa: F401
 
-__all__ = [
-    "SourceRecord",
-    "FilterStats",
-    "FilterOutcome",
-    "PipelineConfig",
-    "length_filter",
-    "filter_one",
-    "generate",
-]
-
 logger = logging.getLogger(__name__)
 
 #: Inclusive prompt+completion token budget for kept records.
@@ -75,17 +65,14 @@ class SourceRecord:
     task_type: TaskType
     inputs: dict[str, Any] = field(default_factory=dict)
 
-    def citation_flavor(self) -> str:
-        if "chunks" in self.inputs:
-            return "rag"
-        return "quality"
-
     @property
     def kind(self) -> str:
         """The reply kind `check_reply` takes: "pointwise", "quality" or "rag"."""
         if self.task_type is TaskType.POINTWISE_EVAL:
             return "pointwise"
-        return self.citation_flavor()
+        if "chunks" in self.inputs:
+            return "rag"
+        return "quality"
 
     def rag_mode(self) -> CitationMode:
         return parse_citation_mode(self.inputs.get("mode", "inline"))

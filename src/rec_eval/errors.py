@@ -2,22 +2,6 @@
 
 from __future__ import annotations
 
-__all__ = [
-    "RecError",
-    "EmptyRequiredError",
-    "DuplicateContextIdError",
-    "ModeMismatchError",
-    "UnknownContextIdError",
-    "SnippetNotFoundError",
-    "ClaimNotFoundError",
-    "HaluGoldError",
-    "LengthMismatchError",
-    "EmptyInputError",
-    "SourceRecordError",
-    "TemplateError",
-    "UsageError",
-]
-
 
 class RecError(Exception):
     """Base class for all library errors."""

@@ -28,24 +28,6 @@ from .errors import RecError
 from .prompts import PromptText
 from .tokens import estimate_tokens
 
-__all__ = [
-    "GatewayError",
-    "TransportError",
-    "AuthFailureError",
-    "BackendRefusalError",
-    "TruncatedError",
-    "CancelledError",
-    "CompletionRequest",
-    "CompletionResult",
-    "BackendReply",
-    "Backend",
-    "HttpBackend",
-    "MockBackend",
-    "script_responder",
-    "load_mock_script",
-    "Gateway",
-]
-
 logger = logging.getLogger(__name__)
 
 API_KEY_ENV = "REC_API_KEY"
@@ -65,10 +47,6 @@ class AuthFailureError(GatewayError):
 
 class BackendRefusalError(GatewayError):
     """The backend answered but refused or returned an unusable reply."""
-
-
-class TruncatedError(GatewayError):
-    """For callers that must treat a truncated completion as fatal."""
 
 
 class CancelledError(GatewayError):

@@ -16,18 +16,6 @@ from .errors import EmptyInputError, HaluGoldError, LengthMismatchError, Snippet
 from .model import CitationSnippet, ContextDocument, PairwiseJudgment, Verdict
 from .verify import MatchPolicy, SourceIndex, normalize, snap_to_sentences
 
-__all__ = [
-    "PRF",
-    "GoldCitationSet",
-    "citation_prf",
-    "gold_intersection",
-    "binary_accuracy",
-    "parse_pairwise_verdict",
-    "win_rate",
-    "OrderBiasResult",
-    "order_bias",
-]
-
 
 @dataclass(frozen=True)
 class PRF:

@@ -2,33 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any
-
-__all__ = [
-    "MetricName",
-    "EvaluationMetric",
-    "metric_catalog",
-    "SourceKind",
-    "ContextDocument",
-    "CitationMode",
-    "parse_citation_mode",
-    "CitationSnippet",
-    "Statement",
-    "QualityEvalOutput",
-    "RagCitationEntry",
-    "RagCitationOutput",
-    "PointwiseVerdict",
-    "TaskType",
-    "FilterStatus",
-    "UnifiedTaskRecord",
-    "Verdict",
-    "PresentationOrder",
-    "PairwiseJudgment",
-    "InvalidModelError",
-    "validate_or_raise",
-]
 
 YES_NO_SCALE = "Yes/No"
 
@@ -174,7 +149,6 @@ class CitationSnippet:
     snippet: str
     context_id: str | None = None
     char_span: tuple[int, int] | None = None
-    extra: dict[str, Any] = field(default_factory=dict, compare=False, repr=False)
 
     def violations(self) -> list[str]:
         out = []
@@ -197,7 +171,6 @@ class Statement:
 
     statement_string: str
     citations: tuple[CitationSnippet, ...] = ()
-    extra: dict[str, Any] = field(default_factory=dict, compare=False, repr=False)
 
     def violations(self) -> list[str]:
         out = []
@@ -215,7 +188,6 @@ class QualityEvalOutput:
     answer: str  # "Yes" | "No"
     feedback: str
     statements: tuple[Statement, ...] = ()
-    extra: dict[str, Any] = field(default_factory=dict, compare=False, repr=False)
 
     def violations(self) -> list[str]:
         out = []
@@ -247,7 +219,6 @@ class RagCitationEntry:
     context_id: str
     claim: str | None = None
     snippet: str | None = None
-    extra: dict[str, Any] = field(default_factory=dict, compare=False, repr=False)
 
     def violations_for_mode(self, mode: CitationMode) -> list[str]:
         out = []
@@ -278,7 +249,6 @@ class RagCitationOutput:
 
     citations: tuple[RagCitationEntry, ...]
     mode: CitationMode
-    extra: dict[str, Any] = field(default_factory=dict, compare=False, repr=False)
 
     def cited_ids(self) -> tuple[str, ...]:
         """Distinct real context ids, first appearance order."""
@@ -295,7 +265,6 @@ class PointwiseVerdict:
 
     metriclabel: str  # "Yes" | "No"
     justification: str
-    extra: dict[str, Any] = field(default_factory=dict, compare=False, repr=False)
 
 
 class TaskType(str, Enum):
@@ -341,18 +310,3 @@ class PairwiseJudgment:
     response_b: str
     verdict: Verdict
     presentation_order: PresentationOrder = PresentationOrder.AB
-
-
-class InvalidModelError(ValueError):
-    """A value violates its type's invariants."""
-
-    def __init__(self, violations: list[str]):
-        super().__init__("; ".join(violations))
-        self.violations = violations
-
-
-def validate_or_raise(value: Any) -> None:
-    """Raise InvalidModelError when value.violations() is non-empty."""
-    problems = value.violations()
-    if problems:
-        raise InvalidModelError(problems)

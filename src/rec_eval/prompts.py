@@ -16,18 +16,6 @@ from pathlib import Path
 from .errors import DuplicateContextIdError, EmptyRequiredError, TemplateError
 from .model import CitationMode, ContextDocument, EvaluationMetric
 
-__all__ = [
-    "TemplateId",
-    "TemplateSet",
-    "PromptText",
-    "build_quality_prompt",
-    "build_rag_cite_prompt",
-    "build_pointwise_prompt",
-    "build_grounding_prompt",
-    "build_pairwise_prompt",
-    "render_chunks_block",
-]
-
 _SLOT_RE = re.compile(r"\{([a-z][a-z0-9_]*)\}")
 
 
@@ -35,7 +23,6 @@ class TemplateId(str, Enum):
     QUALITY_EVAL = "QualityEval"
     RAG_CITE = "RagCite"
     POINTWISE = "Pointwise"
-    GROUNDING = "Grounding"
     PAIRWISE_JUDGE = "PairwiseJudge"
 
 
@@ -49,7 +36,6 @@ _RAG_FILES = {
 _PLAIN_FILES = {
     TemplateId.QUALITY_EVAL: "quality_eval.txt",
     TemplateId.POINTWISE: "pointwise.txt",
-    TemplateId.GROUNDING: "grounding.txt",
     TemplateId.PAIRWISE_JUDGE: "pairwise.txt",
 }
 
@@ -185,20 +171,6 @@ def build_pointwise_prompt(
         "answer": _require_text("answer", answer),
     }
     return _fill(templates.text(TemplateId.POINTWISE), slots, TemplateId.POINTWISE)
-
-
-def build_grounding_prompt(
-    doc: str,
-    claim: str,
-    templates: TemplateSet | None = None,
-) -> PromptText:
-    """Yes/no consistency check of one claim against one document."""
-    templates = templates or _DEFAULT_TEMPLATES
-    slots = {
-        "doc": _require_text("doc", doc),
-        "claim": _require_text("claim", claim),
-    }
-    return _fill(templates.text(TemplateId.GROUNDING), slots, TemplateId.GROUNDING)
 
 
 def build_pairwise_prompt(

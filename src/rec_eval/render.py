@@ -22,14 +22,6 @@ from .model import (
 )
 from .verify import MatchPolicy, SourceIndex, normalize, verify_snippet
 
-__all__ = [
-    "Reference",
-    "RenderedText",
-    "assign_reference_numbers",
-    "render_quality",
-    "render_rag",
-]
-
 
 @dataclass(frozen=True)
 class Reference:

@@ -14,7 +14,7 @@ import json
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable
+from typing import Any
 
 from .model import (
     CitationMode,
@@ -26,23 +26,6 @@ from .model import (
     Statement,
     UnifiedTaskRecord,
 )
-
-__all__ = [
-    "Code",
-    "Violation",
-    "ValidationReport",
-    "SchemaError",
-    "extract_first_json_object",
-    "try_parse_quality_output",
-    "parse_quality_output",
-    "try_parse_rag_output",
-    "parse_rag_output",
-    "try_parse_pointwise",
-    "parse_pointwise",
-    "serialize_canonical",
-    "read_jsonl",
-    "write_jsonl",
-]
 
 
 class Code(str, Enum):
@@ -159,12 +142,6 @@ def _require_str(obj: dict, key: str, path: str, out: list[Violation]) -> str | 
     return value
 
 
-def _extras(obj: dict, known: tuple[str, ...]) -> dict[str, Any]:
-    # Unknown fields ride along on the parsed value; canonical serialization
-    # drops them again.
-    return {k: v for k, v in obj.items() if k not in known}
-
-
 def _parse_citation_item(item: Any, path: str, out: list[Violation]) -> CitationSnippet | None:
     # Both published shapes are accepted: a bare snippet string, or an
     # object carrying at least {"snippet": ...}. Canonical form is the object.
@@ -203,7 +180,6 @@ def _parse_citation_item(item: Any, path: str, out: list[Violation]) -> Citation
         snippet=snippet,
         context_id=context_id,
         char_span=char_span,
-        extra=_extras(item, ("snippet", "context_id", "char_span")),
     )
 
 
@@ -245,7 +221,6 @@ def try_parse_quality_output(raw: str) -> tuple[QualityEvalOutput | None, Valida
                         Statement(
                             statement_string=text,
                             citations=tuple(cits),
-                            extra=_extras(raw_st, ("statement_string", "citations")),
                         )
                     )
 
@@ -255,7 +230,6 @@ def try_parse_quality_output(raw: str) -> tuple[QualityEvalOutput | None, Valida
         answer=answer,  # type: ignore[arg-type]
         feedback=feedback,  # type: ignore[arg-type]
         statements=tuple(statements),
-        extra=_extras(obj, ("answer", "feedback", "statements")),
     )
     model_problems = value.violations()
     if model_problems:
@@ -307,7 +281,6 @@ def try_parse_rag_output(
                     context_id=context_id,
                     claim=claim,
                     snippet=snippet,
-                    extra=_extras(raw_entry, ("context_id", "claim", "snippet")),
                 )
                 for problem in entry.violations_for_mode(mode):
                     code = Code.MODE_MISMATCH if "mode" in problem else Code.EMPTY_REQUIRED
@@ -319,7 +292,6 @@ def try_parse_rag_output(
     value = RagCitationOutput(
         citations=tuple(entries),
         mode=mode,
-        extra=_extras(obj, ("citations",)),
     )
     return value, ValidationReport()
 
@@ -345,7 +317,6 @@ def try_parse_pointwise(raw: str) -> tuple[PointwiseVerdict | None, ValidationRe
     value = PointwiseVerdict(
         metriclabel=label,  # type: ignore[arg-type]
         justification=justification,  # type: ignore[arg-type]
-        extra=_extras(obj, ("metriclabel", "justification")),
     )
     return value, ValidationReport()
 
@@ -438,14 +409,3 @@ def read_jsonl(
                     raise SchemaError(ValidationReport((violation,))) from exc
                 errors.append(violation)
     return records, errors
-
-
-def write_jsonl(path: str | os.PathLike[str], values: Iterable[Any]) -> int:
-    """Write values as canonical JSON lines; returns the line count."""
-    count = 0
-    with io.open(path, "w", encoding="utf-8") as fh:
-        for value in values:
-            fh.write(serialize_canonical(value))
-            fh.write("\n")
-            count += 1
-    return count

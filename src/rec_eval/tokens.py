@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-__all__ = ["estimate_tokens"]
-
 DEFAULT_TOKENS_PER_WORD = 1.3
 
 

@@ -33,23 +33,6 @@ from .model import (
     RagCitationOutput,
 )
 
-__all__ = [
-    "MatchPolicy",
-    "MatchResult",
-    "CitationCheck",
-    "ClaimCheck",
-    "VerificationReport",
-    "normalize",
-    "SourceIndex",
-    "verify_snippet",
-    "verify_quality_output",
-    "verify_rag_output",
-    "ReplyCheck",
-    "check_reply",
-    "segment_sentences",
-    "snap_to_sentences",
-]
-
 
 class MatchPolicy(str, Enum):
     STRICT = "strict"

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rec_eval.cli import main
 
 BODY = "The cat sat on the mat. The dog ran far away."
@@ -30,3 +32,29 @@ def test_score_reports_records_scored_without_their_context(tmp_path, capsys):
     pred.write_text("".join(json.dumps(p) + "\n" for p in preds), encoding="utf-8")
     assert main(["score", "--pred", str(pred), "--contexts", str(ctx)]) == 0
     assert "missing_context" not in json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "record, key",
+    [
+        ({"gold": ["The sky is blue."], "predicted_citations": "The sky is blue."}, "predicted_citations"),
+        ({"gold": ["The sky is blue."], "predicted_citations": [5]}, "predicted_citations"),
+        ({"gold": "The sky is blue.", "predicted_citations": ["The sky is blue."]}, "gold"),
+        ({"gold_a": ["The sky is blue."], "gold_b": [None], "predicted_citations": []}, "gold_b"),
+    ],
+    ids=["string", "int-item", "gold-string", "null-item"],
+)
+def test_score_rejects_citation_fields_that_are_not_lists_of_strings(tmp_path, capsys, record, key):
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(json.dumps({"gold": []}) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    assert main(["score", "--pred", str(pred)]) == 1
+    err = capsys.readouterr().err
+    assert f"{pred} line 2: {key} must be a list of strings" in err
+    assert "Traceback" not in err
+
+
+def test_score_names_the_line_of_a_record_that_is_not_an_object(tmp_path, capsys):
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(json.dumps({"gold": []}) + "\n[1, 2]\n", encoding="utf-8")
+    assert main(["score", "--pred", str(pred)]) == 1
+    assert f"{pred} line 2: every score record must be a JSON object" in capsys.readouterr().err

@@ -1,10 +1,11 @@
-"""Bad templates and worker counts are usage errors (exit 1), found before any backend call."""
+"""Bad templates, worker counts and token budgets are usage errors (exit 1), found before any backend call."""
 
 import json
+import math
 
 import pytest
 
-from rec_eval.cli import main
+from rec_eval.cli import build_parser, main
 from rec_eval.gateway import MockBackend
 
 REPLY = {
@@ -73,3 +74,14 @@ def test_config_parallelism_below_one_is_a_usage_error(workdir, capsys, command,
     (workdir / "config.json").write_text(json.dumps({"parallelism": value}), encoding="utf-8")
     assert main(command(workdir) + ["--config", str(workdir / "config.json")]) == 1
     assert "parallelism" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "0", "-5"])
+def test_max_tokens_not_above_zero_is_a_usage_error(workdir, capsys, value):
+    assert main(_datagen(workdir) + ["--max-tokens", value]) == 1
+    assert "max-tokens" in capsys.readouterr().err
+    assert not (workdir / "data.jsonl").exists()
+
+
+def test_max_tokens_may_be_infinite(workdir):
+    assert build_parser().parse_args(_datagen(workdir) + ["--max-tokens", "inf"]).max_tokens == math.inf

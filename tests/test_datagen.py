@@ -54,13 +54,13 @@ def _gateway(script, **kw):
 
 
 def test_source_record_flavors():
-    assert _quality_source().citation_flavor() == "quality"
+    assert _quality_source().kind == "quality"
     rag = SourceRecord(
         source_dataset="d",
         task_type=TaskType.CITATION,
         inputs={"chunks": [{"context_id": "1", "body": "b"}], "answer": "a"},
     )
-    assert rag.citation_flavor() == "rag"
+    assert rag.kind == "rag"
 
 
 def test_source_record_violations():

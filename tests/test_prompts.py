@@ -8,7 +8,6 @@ from rec_eval import (
     SourceKind,
     TemplateError,
     TemplateSet,
-    build_grounding_prompt,
     build_pairwise_prompt,
     build_pointwise_prompt,
     build_quality_prompt,
@@ -107,13 +106,6 @@ def test_pointwise_prompt_embeds_metric_and_slots():
     assert '"metriclabel"' in p.text and '"justification"' in p.text
 
 
-def test_grounding_prompt_shape():
-    p = build_grounding_prompt("document body", "claim text")
-    assert "Document: document body" in p.text
-    assert "Claim: claim text" in p.text
-    assert p.text.rstrip().endswith("Answer (yes|no only):")
-
-
 def test_pairwise_prompt_shape():
     p = build_pairwise_prompt("write a poem", "poem one", "poem two")
     assert "# Instruction:" in p.text
@@ -125,22 +117,22 @@ def test_pairwise_prompt_shape():
 
 
 def test_template_override_directory(tmp_path):
-    (tmp_path / "grounding.txt").write_text(
-        "Doc={doc} Claim={claim} Answer:", encoding="utf-8"
+    (tmp_path / "pairwise.txt").write_text(
+        "I={instruction} A={output_a} B={output_b} Answer:", encoding="utf-8"
     )
     templates = TemplateSet(str(tmp_path))
-    p = build_grounding_prompt("D", "C", templates)
-    assert p.text == "Doc=D Claim=C Answer:"
+    p = build_pairwise_prompt("i", "a", "b", templates)
+    assert p.text == "I=i A=a B=b Answer:"
     # files absent from the override dir fall back to the packaged set
-    q = build_pairwise_prompt("i", "a", "b", templates)
-    assert "# Output (a):" in q.text
+    q = build_pointwise_prompt(metric_by_name("coherence"), "q", "a", templates)
+    assert '"metriclabel"' in q.text
 
 
 def test_template_unknown_slot_rejected(tmp_path):
-    (tmp_path / "grounding.txt").write_text("Doc={doc} {mystery}", encoding="utf-8")
+    (tmp_path / "pairwise.txt").write_text("I={instruction} {mystery}", encoding="utf-8")
     templates = TemplateSet(str(tmp_path))
     with pytest.raises(TemplateError):
-        build_grounding_prompt("D", "C", templates)
+        build_pairwise_prompt("i", "a", "b", templates)
 
 
 def test_all_packaged_templates_load():
@@ -154,5 +146,5 @@ def test_all_packaged_templates_load():
 
 
 def test_prompt_records_slots_filled():
-    p = build_grounding_prompt("D", "C")
-    assert p.slots_filled == {"doc": "D", "claim": "C"}
+    p = build_pairwise_prompt("i", "a", "b")
+    assert p.slots_filled == {"instruction": "i", "output_a": "a", "output_b": "b"}

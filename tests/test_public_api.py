@@ -1,20 +1,25 @@
+import ast
+from pathlib import Path
+
 import rec_eval
 
 # Every name the package exported through its former hand-kept __all__,
-# less inter_rater_agreement (an alias of binary_accuracy, removed on purpose).
+# less inter_rater_agreement (an alias of binary_accuracy) and the names that
+# nothing in the package used (build_grounding_prompt, write_jsonl,
+# InvalidModelError), all removed on purpose.
 EXPORTED = """
 API_KEY_ENV AuthFailureError Backend BackendRefusalError BackendReply CancelledError
 CitationMode CitationSnippet ClaimNotFoundError CompletionRequest CompletionResult
 ContextDocument DEFAULT_TOKENS_PER_WORD DuplicateContextIdError EmptyInputError
 EmptyRequiredError EvaluationMetric FilterStats FilterStatus Gateway GatewayError
-GoldCitationSet HaluGoldError HttpBackend InvalidModelError LengthMismatchError
+GoldCitationSet HaluGoldError HttpBackend LengthMismatchError
 MatchPolicy MatchResult MetricName MockBackend ModeMismatchError NO_SUPPORT_ID
 OrderBiasResult PRF PairwiseJudgment PipelineConfig PointwiseVerdict PresentationOrder
 PromptText QualityEvalOutput RagCitationEntry RagCitationOutput RecError Reference
 RenderedText SchemaError SnippetNotFoundError SourceKind SourceRecord Statement TaskType
 TemplateError TemplateId TemplateSet TransportError UnifiedTaskRecord
 UnknownContextIdError UsageError ValidationReport Verdict VerificationReport Violation
-assign_reference_numbers binary_accuracy build_grounding_prompt build_pairwise_prompt
+assign_reference_numbers binary_accuracy build_pairwise_prompt
 build_pointwise_prompt build_quality_prompt build_rag_cite_prompt citation_prf
 estimate_tokens extract_first_json_object filter_one generate gold_intersection
 load_mock_script metric_by_name metric_catalog normalize order_bias parse_citation_mode
@@ -22,14 +27,58 @@ parse_match_policy parse_pairwise_verdict parse_pointwise parse_quality_output
 parse_rag_output prompt_sha256 read_jsonl render_chunks_block render_quality render_rag
 segment_sentences serialize_canonical snap_to_sentences to_json_value
 try_parse_pointwise try_parse_quality_output try_parse_rag_output verify_quality_output
-verify_rag_output verify_snippet win_rate write_jsonl
+verify_rag_output verify_snippet win_rate
 """.split()
 
 
 def test_exported_names_still_import():
-    assert len(EXPORTED) == 103
+    assert len(EXPORTED) == 100
     missing = [name for name in EXPORTED if not hasattr(rec_eval, name)]
     assert missing == []
     namespace: dict = {}
     exec("from rec_eval import *", namespace)
     assert [name for name in EXPORTED if name not in namespace] == []
+
+
+# The console script is reached from outside the package.
+ENTRY_POINTS = {"cli.entry"}
+
+
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def _used_names(stmt: ast.stmt) -> set[str]:
+    used = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+def test_every_public_name_is_used_or_exported():
+    # A public top-level name must be imported by rec_eval/__init__.py or
+    # referenced somewhere in the package outside its own definition.
+    definitions, uses = [], []
+    for path in sorted(Path(rec_eval.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            uses.append((stmt, _used_names(stmt)))
+            definitions += [(f"{path.stem}.{name}", name, stmt) for name in _defined_names(stmt)]
+    dead = [
+        qualified
+        for qualified, name, own in definitions
+        if not name.startswith("_")
+        and qualified not in ENTRY_POINTS
+        and not any(name in used for stmt, used in uses if stmt is not own)
+    ]
+    assert dead == []

@@ -18,7 +18,6 @@ from rec_eval import (
     try_parse_pointwise,
     try_parse_quality_output,
     try_parse_rag_output,
-    write_jsonl,
 )
 
 GOOD_QUALITY = {
@@ -136,13 +135,13 @@ def test_parse_quality_raises_schema_error_with_paths():
     assert "$" in str(err.value)
 
 
-def test_parse_quality_preserves_extras_without_comparing_them():
-    doc = dict(GOOD_QUALITY, reasoning="chain of thought")
+def test_parse_quality_ignores_unknown_fields():
+    statement = dict(GOOD_QUALITY["statements"][0], score=3)
+    doc = dict(GOOD_QUALITY, reasoning="chain of thought", statements=[statement])
     out = parse_quality_output(json.dumps(doc))
-    assert out.extra == {"reasoning": "chain of thought"}
-    bare = parse_quality_output(json.dumps(GOOD_QUALITY))
-    assert out == bare  # extras never affect equality
-    assert "reasoning" not in serialize_canonical(out)
+    assert out == parse_quality_output(json.dumps(GOOD_QUALITY))
+    canon = serialize_canonical(out)
+    assert "reasoning" not in canon and "score" not in canon
 
 
 RAG_DOC = {
@@ -214,7 +213,7 @@ def test_canonical_serialization_rag_round_trip():
 def test_jsonl_round_trip(tmp_path):
     path = tmp_path / "data.jsonl"
     values = [{"a": 1}, {"b": [1, 2]}, {"c": "x"}]
-    assert write_jsonl(path, values) == 3
+    path.write_text("".join(json.dumps(v) + "\n" for v in values), encoding="utf-8")
     records, errors = read_jsonl(path)
     assert records == values and errors == []
 
