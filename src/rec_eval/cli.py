@@ -12,10 +12,11 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from enum import IntEnum
 from functools import cache
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from . import schema_io
 from .datagen import DEFAULT_MAX_TOKENS, PipelineConfig, SourceRecord, generate
@@ -98,14 +99,14 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_jsonl(path: str) -> list[Any]:
+def _read_jsonl(path: str) -> list[tuple[int, Any]]:
+    """Each record of a JSONL file with its line number in the file, blank lines counted."""
     try:
-        records, _ = schema_io.read_jsonl(path)
+        return list(schema_io._read_numbered(path))
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except schema_io.SchemaError as exc:
         raise UsageError(f"{path}: {exc}") from exc
-    return records
 
 
 def _load_config(path: str | None) -> dict[str, Any]:
@@ -121,8 +122,9 @@ def _load_config(path: str | None) -> dict[str, Any]:
     return value
 
 
-def _make_gateway(args: argparse.Namespace, config: dict[str, Any]) -> Gateway:
-    """Resolve the backend with flag > environment > config precedence."""
+@contextmanager
+def _open_gateway(args: argparse.Namespace, config: dict[str, Any]) -> Iterator[Gateway]:
+    """Resolve the backend with flag > environment > config precedence; close it on exit."""
     spec = args.backend or os.environ.get("REC_BASE_URL") or config.get("base_url")
     if not spec:
         raise UsageError("no backend configured; use --backend, REC_BASE_URL, or config base_url")
@@ -131,11 +133,15 @@ def _make_gateway(args: argparse.Namespace, config: dict[str, Any]) -> Gateway:
     else:
         model = args.model or os.environ.get("REC_MODEL_NAME") or config.get("model_name") or "default"
         backend = HttpBackend(spec, model, timeout_ms=int(config.get("timeout_ms", 60_000)))
-    return Gateway(
-        backend,
-        max_retries=int(config.get("max_retries", 2)),
-        audit_log_path=args.audit_log,
-    )
+    try:
+        yield Gateway(
+            backend,
+            max_retries=int(config.get("max_retries", 2)),
+            audit_log_path=args.audit_log,
+        )
+    finally:
+        if isinstance(backend, HttpBackend):
+            backend.close()
 
 
 def _templates(args: argparse.Namespace) -> TemplateSet | None:
@@ -239,8 +245,8 @@ def _complete_and_check(
     answer: str | None = None,
 ) -> int:
     """Complete one prompt, check the reply, then render, print and write --out."""
-    gateway = _make_gateway(args, config)
-    raw = gateway.complete(CompletionRequest(prompt=prompt, seed=args.seed)).text
+    with _open_gateway(args, config) as gateway:
+        raw = gateway.complete(CompletionRequest(prompt=prompt, seed=args.seed)).text
     checked = check_reply(kind, raw, source, mode=mode, answer=answer, policy=_policy(args))
     verification = checked.verification
     if verification is None:  # the reply did not parse, or cited an unknown chunk
@@ -303,7 +309,7 @@ def _context_map(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     out: dict[str, str] = {}
-    for i, rec in enumerate(_read_jsonl(path), start=1):
+    for i, rec in _read_jsonl(path):
         if not isinstance(rec, dict) or "context_id" not in rec or "body" not in rec:
             raise UsageError(f"{path} line {i}: every context needs context_id and body")
         out[str(rec["context_id"])] = str(rec["body"])
@@ -346,7 +352,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     policy = _policy(args)
     results = []
     failed = 0
-    for i, rec in enumerate(records, start=1):
+    for i, rec in records:
         if not isinstance(rec, dict):
             entry: dict[str, Any] = {"ok": False, "error": "record must be a JSON object"}
         else:
@@ -410,7 +416,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         golds = _read_jsonl(args.gold)
         if len(golds) != len(preds):
             raise UsageError(f"--pred has {len(preds)} lines but --gold has {len(golds)}")
-        preds = [{**p, **g} for p, g in zip(preds, golds)]
+        preds = [(i, {**p, **g}) for (i, p), (_, g) in zip(preds, golds)]
     contexts = _context_map(args.contexts)
     policy = _policy(args)
     index = cache(SourceIndex)  # one per context, however many records cite it
@@ -418,7 +424,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     by_metric: dict[str, dict[str, list]] = {}
     excluded_halu = 0
     missing_context = 0
-    for i, rec in enumerate(preds, start=1):
+    for i, rec in preds:
         if not isinstance(rec, dict):
             raise UsageError(f"{args.pred} line {i}: every score record must be a JSON object")
         for key in ("predicted_citations", "gold", "gold_a", "gold_b"):
@@ -472,29 +478,29 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_judge(args: argparse.Namespace) -> int:
-    pairs = _read_jsonl(args.pairs)
-    for i, pair in enumerate(pairs, start=1):
+    pairs = []
+    for i, pair in _read_jsonl(args.pairs):
         if not isinstance(pair, dict) or not all(k in pair for k in ("instruction", "chosen", "rejected")):
             raise UsageError(f"{args.pairs} line {i}: pair needs instruction, chosen, rejected")
+        pairs.append(pair)
     if not pairs:
         raise UsageError("no pairs to judge")
     config = _load_config(args.config)
     templates = _templates(args)
-    gateway = _make_gateway(args, config)
+    with _open_gateway(args, config) as gateway:
+        requests = []
+        layout: list[tuple[int, PresentationOrder]] = []
+        for i, pair in enumerate(pairs):
+            prompt_ab = build_pairwise_prompt(pair["instruction"], pair["chosen"], pair["rejected"], templates)
+            requests.append(CompletionRequest(prompt=prompt_ab, seed=args.seed))
+            layout.append((i, PresentationOrder.AB))
+            if args.both_orders:
+                prompt_ba = build_pairwise_prompt(pair["instruction"], pair["rejected"], pair["chosen"], templates)
+                requests.append(CompletionRequest(prompt=prompt_ba, seed=args.seed))
+                layout.append((i, PresentationOrder.BA))
 
-    requests = []
-    layout: list[tuple[int, PresentationOrder]] = []
-    for i, pair in enumerate(pairs):
-        prompt_ab = build_pairwise_prompt(pair["instruction"], pair["chosen"], pair["rejected"], templates)
-        requests.append(CompletionRequest(prompt=prompt_ab, seed=args.seed))
-        layout.append((i, PresentationOrder.AB))
-        if args.both_orders:
-            prompt_ba = build_pairwise_prompt(pair["instruction"], pair["rejected"], pair["chosen"], templates)
-            requests.append(CompletionRequest(prompt=prompt_ba, seed=args.seed))
-            layout.append((i, PresentationOrder.BA))
-
-    parallelism = _parallelism(args.parallelism or config.get("parallelism", 4))
-    slots = gateway.complete_batch(requests, parallelism=parallelism)
+        parallelism = _parallelism(args.parallelism or config.get("parallelism", 4))
+        slots = gateway.complete_batch(requests, parallelism=parallelism)
     failures = [slot for slot in slots if isinstance(slot, GatewayError)]
     if failures:
         print(f"{len(failures)} judge call(s) failed: {failures[0]}", file=sys.stderr)
@@ -559,9 +565,8 @@ def _parse_metrics(spec: str | None):
 def cmd_datagen(args: argparse.Namespace) -> int:
     kind = args.task.removeprefix("cite-")
     task_type = TaskType.POINTWISE_EVAL if kind == "pointwise" else TaskType.CITATION
-    raw_records = _read_jsonl(args.input)
     records: list[SourceRecord] = []
-    for i, rec in enumerate(raw_records, start=1):
+    for i, rec in _read_jsonl(args.input):
         if not isinstance(rec, dict) or not isinstance(rec.get("inputs"), dict):
             raise UsageError(f"{args.input} line {i}: record needs an inputs object")
         source = SourceRecord(
@@ -579,18 +584,18 @@ def cmd_datagen(args: argparse.Namespace) -> int:
 
     config_file = _load_config(args.config)
     metrics = _parse_metrics(args.metrics)
-    gateway = _make_gateway(args, config_file)
-    pipeline = PipelineConfig(
-        parallelism=_parallelism(args.parallelism or config_file.get("parallelism", 4)),
-        max_tokens=args.max_tokens,
-        seed=args.seed,
-    )
-    try:
-        out_records, stats = generate(
-            records, metrics, gateway, _policy(args), pipeline, _templates(args)
+    with _open_gateway(args, config_file) as gateway:
+        pipeline = PipelineConfig(
+            parallelism=_parallelism(args.parallelism or config_file.get("parallelism", 4)),
+            max_tokens=args.max_tokens,
+            seed=args.seed,
         )
-    except SourceRecordError as exc:
-        raise UsageError(f"{args.input}: {exc}") from exc
+        try:
+            out_records, stats = generate(
+                records, metrics, gateway, _policy(args), pipeline, _templates(args)
+            )
+        except SourceRecordError as exc:
+            raise UsageError(f"{args.input}: {exc}") from exc
 
     emit = out_records if args.keep_rejected else [r for r in out_records if r.filter_status.value == "Kept"]
     with open(args.out, "w", encoding="utf-8") as fh:

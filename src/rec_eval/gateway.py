@@ -3,24 +3,22 @@
 The HTTP backend speaks the common chat-completions wire shape (model,
 messages, temperature, max_tokens) and authenticates via a bearer token
 taken from REC_API_KEY; the credential travels only in the Authorization
-header, never in the request body. It imports the stdlib's http.client on
-first use, so importing this module loads no HTTP stack; HTTP_PROXY,
-HTTPS_PROXY and NO_PROXY apply. The mock backend answers from a script,
+header, never in the request body. HTTP_PROXY, HTTPS_PROXY and NO_PROXY
+apply. The stdlib's http.client, hashlib, datetime and thread pool are
+imported on first use, by the functions that need them, so importing this
+module loads none of them. The mock backend answers from a script,
 deterministically, and instruments concurrency so tests can assert the
 parallelism bound.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Protocol, Sequence
 
@@ -106,11 +104,16 @@ class Backend(Protocol):
 
 
 def prompt_sha256(prompt: str) -> str:
+    import hashlib
+
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
 class HttpBackend:
-    """Chat-completions client for an OpenAI-style endpoint; one keep-alive connection per thread."""
+    """Chat-completions client for an OpenAI-style endpoint; one keep-alive connection per thread.
+
+    close() closes every connection it opened; a later send reopens one.
+    """
 
     def __init__(
         self,
@@ -125,6 +128,8 @@ class HttpBackend:
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self.timeout_ms = timeout_ms
         self._local = threading.local()
+        self._connections: list[tuple[threading.Thread, Any]] = []  # each sending thread's, for close()
+        self._connections_lock = threading.Lock()
 
     def _connect(self) -> tuple[Any, str]:
         """A connection to the backend, or to its proxy, and the request target to send on it."""
@@ -155,6 +160,15 @@ class HttpBackend:
         import http.client
         if not hasattr(self._local, "conn"):
             self._local.conn, self._local.target = self._connect()
+            with self._connections_lock:
+                # A finished thread's connection is never used again: close it now, not at close().
+                live = [(threading.current_thread(), self._local.conn)]
+                for thread, conn in self._connections:
+                    if thread.is_alive():
+                        live.append((thread, conn))
+                    else:
+                        conn.close()
+                self._connections = live
         conn = self._local.conn
         try:
             for may_be_stale in (conn.sock is not None, False):
@@ -170,6 +184,12 @@ class HttpBackend:
         except (OSError, http.client.HTTPException) as exc:
             conn.close()
             raise TransportError(str(exc) or type(exc).__name__) from exc
+
+    def close(self) -> None:
+        """Close the connections of every thread that sent; calling it again is harmless."""
+        with self._connections_lock:
+            for _, conn in self._connections:
+                conn.close()
 
     def send(
         self,
@@ -352,6 +372,8 @@ class Gateway:
     def _audit(self, prompt: str, status: str, latency_ms: float, output_tokens: int | None, retries: int) -> None:
         if self.audit_log_path is None:
             return
+        from datetime import datetime, timezone
+
         entry = {
             "ts": datetime.now(timezone.utc).isoformat(),
             "prompt_sha256": prompt_sha256(prompt),
@@ -446,9 +468,13 @@ class Gateway:
             except GatewayError as exc:
                 return exc
 
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            futures = [pool.submit(run, req) for req in reqs]
+            futures = []
             try:
+                for req in reqs:
+                    futures.append(pool.submit(run, req))
                 for i, fut in enumerate(futures):
                     slots[i] = fut.result()
             except KeyboardInterrupt:
@@ -457,4 +483,7 @@ class Gateway:
                 for i, fut in enumerate(futures):
                     if slots[i] is None:
                         slots[i] = fut.result()
-        return slots  # type: ignore[return-value]
+        return [
+            CancelledError("batch cancelled before this item started") if slot is None else slot
+            for slot in slots  # None: the interrupt came before the item was submitted
+        ]

@@ -14,7 +14,7 @@ import json
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import Any, Iterator
 
 from .model import (
     CitationMode,
@@ -385,6 +385,29 @@ def serialize_canonical(value: Any) -> str:
     return json.dumps(to_json_value(value), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+def _read_numbered(
+    path: str | os.PathLike[str], errors: list[Violation] | None = None
+) -> Iterator[tuple[int, Any]]:
+    """(line number in the file, value) for each non-blank line of a JSONL file.
+
+    A malformed line raises SchemaError naming its line, or, when errors is
+    given, is appended to it and skipped.
+    """
+    with io.open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line)
+            except ValueError as exc:
+                violation = Violation(Code.BAD_JSON, f"line {lineno}", str(exc))
+                if errors is None:
+                    raise SchemaError(ValidationReport((violation,))) from exc
+                errors.append(violation)
+                continue
+            yield lineno, value
+
+
 def read_jsonl(
     path: str | os.PathLike[str],
     *,
@@ -395,17 +418,6 @@ def read_jsonl(
     A malformed line raises SchemaError (with its line number) unless
     skip_bad is set, in which case it is reported in the returned violations.
     """
-    records: list[Any] = []
     errors: list[Violation] = []
-    with io.open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except ValueError as exc:
-                violation = Violation(Code.BAD_JSON, f"line {lineno}", str(exc))
-                if not skip_bad:
-                    raise SchemaError(ValidationReport((violation,))) from exc
-                errors.append(violation)
+    records = [value for _, value in _read_numbered(path, errors if skip_bad else None)]
     return records, errors

@@ -230,6 +230,16 @@ def test_validate_all_good_exits_zero(tmp_path, capsys):
     assert main(["validate", "--records", str(records), "--contexts", str(contexts)]) == 0
 
 
+def test_validate_reports_each_record_at_its_line_in_the_file(tmp_path, capsys):
+    contexts = tmp_path / "contexts.jsonl"
+    contexts.write_text(json.dumps({"context_id": "c1", "body": CTX}) + "\n", encoding="utf-8")
+    records = tmp_path / "records.jsonl"
+    good = {"kind": "quality", "context_id": "c1", "raw": json.dumps(GOOD_REPLY)}
+    records.write_text("\n" + json.dumps(good) + "\n\n" + json.dumps(good) + "\n", encoding="utf-8")
+    assert main(["validate", "--records", str(records), "--contexts", str(contexts)]) == 0
+    assert [r["line"] for r in json.loads(capsys.readouterr().out)["records"]] == [2, 4]
+
+
 def test_render_quality_from_file(tmp_path, capsys):
     raw = tmp_path / "raw.json"
     raw.write_text(json.dumps(GOOD_REPLY), encoding="utf-8")

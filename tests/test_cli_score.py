@@ -58,3 +58,21 @@ def test_score_names_the_line_of_a_record_that_is_not_an_object(tmp_path, capsys
     pred.write_text(json.dumps({"gold": []}) + "\n[1, 2]\n", encoding="utf-8")
     assert main(["score", "--pred", str(pred)]) == 1
     assert f"{pred} line 2: every score record must be a JSON object" in capsys.readouterr().err
+
+
+def test_score_names_the_line_in_the_file_past_blank_lines(tmp_path, capsys):
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(json.dumps({"gold": []}) + "\n\n" + json.dumps({"gold": "x"}) + "\n", encoding="utf-8")
+    assert main(["score", "--pred", str(pred)]) == 1
+    assert f"{pred} line 3: gold must be a list of strings" in capsys.readouterr().err
+
+
+def test_contexts_name_the_line_in_the_file_past_blank_lines(tmp_path, capsys):
+    pred, ctx = tmp_path / "pred.jsonl", tmp_path / "ctx.jsonl"
+    pred.write_text(json.dumps({"context_ref": "doc", "gold": []}) + "\n", encoding="utf-8")
+    ctx.write_text(
+        "\n" + json.dumps({"context_id": "doc", "body": BODY}) + "\n" + json.dumps({"body": BODY}) + "\n",
+        encoding="utf-8",
+    )
+    assert main(["score", "--pred", str(pred), "--contexts", str(ctx)]) == 1
+    assert f"{ctx} line 3: every context needs context_id and body" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Bad templates, worker counts and token budgets are usage errors (exit 1), found before any backend call."""
+"""Bad templates, worker counts, token budgets and input records are usage errors (exit 1), found before any backend call."""
 
 import json
 import math
@@ -85,3 +85,14 @@ def test_max_tokens_not_above_zero_is_a_usage_error(workdir, capsys, value):
 
 def test_max_tokens_may_be_infinite(workdir):
     assert build_parser().parse_args(_datagen(workdir) + ["--max-tokens", "inf"]).max_tokens == math.inf
+
+
+@pytest.mark.parametrize("command, path, message", [
+    (_datagen, "sources.jsonl", "record needs an inputs object"),
+    (_judge, "pairs.jsonl", "pair needs instruction, chosen, rejected"),
+])
+def test_a_bad_record_is_named_by_its_line_in_the_file(workdir, capsys, command, path, message):
+    good = (workdir / path).read_text(encoding="utf-8")
+    (workdir / path).write_text(good + "\n" + json.dumps({"other": 1}) + "\n", encoding="utf-8")
+    assert main(command(workdir)) == 1
+    assert f"{workdir / path} line 3: {message}" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -15,6 +17,7 @@ from rec_eval import (
     BackendReply,
     CancelledError,
     CompletionRequest,
+    CompletionResult,
     Gateway,
     GatewayError,
     HttpBackend,
@@ -429,21 +432,84 @@ def test_backend_exception_of_another_type_fails_only_its_slot(tmp_path, caplog)
 
 
 def test_import_and_score_load_no_http_stack(tmp_path):
+    # Also none of the stdlib that only HTTP, the audit log, sha rules or a batch need.
+    fixtures = os.path.join(os.path.dirname(__file__), "fixtures")
     pred, ctx = tmp_path / "pred.jsonl", tmp_path / "ctx.jsonl"
     pred.write_text(json.dumps({"context_ref": "c", "gold": ["A b."], "predicted_citations": ["A b."]}) + "\n")
     ctx.write_text(json.dumps({"context_id": "c", "body": "A b. C d."}) + "\n")
+    with open(os.path.join(fixtures, "summary_eval_reply.json"), encoding="utf-8") as fh:
+        (tmp_path / "script.json").write_text(json.dumps({"default": fh.read()}))
+    evaluate = [
+        "evaluate", "--context", os.path.join(fixtures, "summary_context.txt"),
+        "--generation", os.path.join(fixtures, "summary_generation.txt"),
+        "--metric", "faithfulness", "--backend", f"mock:{tmp_path / 'script.json'}",
+    ]
     script = (
         "import sys\n"
         "import rec_eval.cli\n"
-        "loaded = lambda: sorted({'requests', 'http.client'} & set(sys.modules))\n"
+        "lazy = {'requests', 'http.client', 'hashlib', '_hashlib', 'datetime', 'concurrent.futures'}\n"
+        "loaded = lambda: sorted(lazy & set(sys.modules))\n"
         "assert loaded() == [], loaded()\n"
         f"assert rec_eval.cli.main(['score', '--pred', {str(pred)!r}, '--contexts', {str(ctx)!r}]) == 0\n"
+        "assert loaded() == [], loaded()\n"
+        f"assert rec_eval.cli.main({evaluate!r}) == 0\n"
         "assert loaded() == [], loaded()\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_complete_batch_interrupted_while_submitting_cancels_the_rest(monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    submit, calls = ThreadPoolExecutor.submit, []
+
+    def interrupted_on_second_call(pool, *args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return submit(pool, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", interrupted_on_second_call)
+    event = threading.Event()
+    reqs = [CompletionRequest(prompt=f"p{i}") for i in range(4)]
+    try:
+        slots = _gw(MockBackend(lambda prompt: "reply")).complete_batch(reqs, parallelism=1, cancel_event=event)
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped complete_batch")
+    assert len(slots) == 4
+    assert isinstance(slots[0], (CompletionResult, CancelledError))
+    assert all(isinstance(slot, CancelledError) for slot in slots[1:])
+    assert event.is_set()
+
+
+def test_http_backend_close_leaves_no_socket_for_the_collector(http_server):
+    server, url = http_server
+    gw = _gw(HttpBackend(url, "m"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        slots = gw.complete_batch([CompletionRequest(prompt=f"p{i}") for i in range(6)], parallelism=3)
+        gw.backend.close()
+        gw.backend.close()
+        del gw
+        gc.collect()
+    assert [slot.text for slot in slots] == [f"echo:p{i}" for i in range(6)]
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_http_backend_closes_the_connections_of_finished_batches(http_server):
+    server, url = http_server
+    gw = _gw(HttpBackend(url, "m"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for batch in range(4):
+            gw.complete_batch([CompletionRequest(prompt=f"{batch}.{i}") for i in range(6)], parallelism=3)
+            assert len(gw.backend._connections) <= 3
+        gc.collect()
+    gw.backend.close()
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_http_backend_keeps_one_connection_per_thread(http_server):
