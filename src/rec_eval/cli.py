@@ -95,7 +95,7 @@ def _common_options(parser: argparse.ArgumentParser) -> None:
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
@@ -122,6 +122,14 @@ def _load_config(path: str | None) -> dict[str, Any]:
     return value
 
 
+def _config_int(args: argparse.Namespace, config: dict[str, Any], key: str, default: int) -> int:
+    value = config.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"config {args.config}: {key} must be an integer, not {value!r}") from None
+
+
 @contextmanager
 def _open_gateway(args: argparse.Namespace, config: dict[str, Any]) -> Iterator[Gateway]:
     """Resolve the backend with flag > environment > config precedence; close it on exit."""
@@ -129,14 +137,18 @@ def _open_gateway(args: argparse.Namespace, config: dict[str, Any]) -> Iterator[
     if not spec:
         raise UsageError("no backend configured; use --backend, REC_BASE_URL, or config base_url")
     if spec.startswith("mock:"):
-        backend: Any = MockBackend(load_mock_script(spec[len("mock:") :]))
+        script = spec[len("mock:") :]
+        try:
+            backend: Any = MockBackend(load_mock_script(script))
+        except (OSError, ValueError) as exc:  # missing, not UTF-8, not a JSON object
+            raise UsageError(f"cannot load mock script {script}: {exc}") from exc
     else:
         model = args.model or os.environ.get("REC_MODEL_NAME") or config.get("model_name") or "default"
-        backend = HttpBackend(spec, model, timeout_ms=int(config.get("timeout_ms", 60_000)))
+        backend = HttpBackend(spec, model, timeout_ms=_config_int(args, config, "timeout_ms", 60_000))
     try:
         yield Gateway(
             backend,
-            max_retries=int(config.get("max_retries", 2)),
+            max_retries=_config_int(args, config, "max_retries", 2),
             audit_log_path=args.audit_log,
         )
     finally:
@@ -152,7 +164,7 @@ def _parallelism(value: Any) -> int:
     """A worker count from --parallelism (as its argparse type) or the config."""
     try:
         count = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         count = 0
     if count < 1:
         raise UsageError(f"parallelism must be an integer of at least 1, not {value!r}")

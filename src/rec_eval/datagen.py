@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import threading
 from dataclasses import asdict, dataclass, field
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from . import schema_io
 from .errors import DuplicateContextIdError, EmptyRequiredError, SourceRecordError
@@ -134,8 +134,7 @@ class FilterStats:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     parallelism: int = 4
     max_tokens: float = DEFAULT_MAX_TOKENS
     seed: int | None = None
@@ -146,8 +145,7 @@ def length_filter(prompt: str, completion: str, max_tokens: float = DEFAULT_MAX_
     return estimate_tokens(prompt) + estimate_tokens(completion) <= max_tokens
 
 
-@dataclass(frozen=True)
-class FilterOutcome:
+class FilterOutcome(NamedTuple):
     record: UnifiedTaskRecord
     detail: str | None = None
 

@@ -18,9 +18,8 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Callable, NamedTuple, Protocol, Sequence
 
 from .errors import RecError
 from .prompts import PromptText
@@ -51,8 +50,7 @@ class CancelledError(GatewayError):
     """The batch was cancelled before this item ran."""
 
 
-@dataclass(frozen=True)
-class CompletionRequest:
+class CompletionRequest(NamedTuple):
     prompt: PromptText | str
     temperature: float = 0.0
     max_output_tokens: int = 1024
@@ -73,8 +71,7 @@ class CompletionRequest:
         return out
 
 
-@dataclass(frozen=True)
-class CompletionResult:
+class CompletionResult(NamedTuple):
     """One completion; text may be empty only when truncated is set."""
 
     text: str
@@ -84,8 +81,7 @@ class CompletionResult:
     truncated: bool = False
 
 
-@dataclass(frozen=True)
-class BackendReply:
+class BackendReply(NamedTuple):
     text: str
     prompt_tokens: int | None = None
     output_tokens: int | None = None
@@ -302,7 +298,10 @@ def script_responder(script: dict[str, Any]) -> Callable[[str], str]:
 
 def load_mock_script(path: str | Path) -> Callable[[str], str]:
     with open(path, "r", encoding="utf-8") as fh:
-        return script_responder(json.load(fh))
+        script = json.load(fh)
+    if not isinstance(script, dict):
+        raise ValueError(f"a mock script must be a JSON object, not {type(script).__name__}")
+    return script_responder(script)
 
 
 class MockBackend:

@@ -9,16 +9,14 @@ sentence count as the same thing.
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyInputError, HaluGoldError, LengthMismatchError, SnippetNotFoundError
 from .model import CitationSnippet, ContextDocument, PairwiseJudgment, Verdict
 from .verify import MatchPolicy, SourceIndex, normalize, snap_to_sentences
 
 
-@dataclass(frozen=True)
-class PRF:
+class PRF(NamedTuple):
     precision: float
     recall: float
     f1: float
@@ -46,11 +44,10 @@ class PRF:
         return cls(precision=precision, recall=recall, f1=f1, tp=tp, fp=fp, fn=fn)
 
     def to_json_value(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class GoldCitationSet:
+class GoldCitationSet(NamedTuple):
     """Annotator-agreed citations, or a hallucination marker with none."""
 
     snippets: frozenset[str]
@@ -166,14 +163,13 @@ def win_rate(
     return hits / len(judgments)
 
 
-@dataclass(frozen=True)
-class OrderBiasResult:
+class OrderBiasResult(NamedTuple):
     rate: float
     pairs_counted: int
     pairs_excluded: int
 
     def to_json_value(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def order_bias(pairs: Iterable[tuple[Verdict, Verdict]]) -> OrderBiasResult:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 YES_NO_SCALE = "Yes/No"
 
@@ -15,8 +15,7 @@ class MetricName(str, Enum):
     COMPLETENESS = "Completeness"
 
 
-@dataclass(frozen=True)
-class EvaluationMetric:
+class EvaluationMetric(NamedTuple):
     """One quality dimension an evaluator rates on a Yes/No scale."""
 
     name: MetricName
@@ -79,8 +78,7 @@ class SourceKind(str, Enum):
     DOCUMENT = "Document"
 
 
-@dataclass(frozen=True)
-class ContextDocument:
+class ContextDocument(NamedTuple):
     """A piece of source text citations are checked against."""
 
     body: str
@@ -137,8 +135,7 @@ def parse_citation_mode(text: str) -> CitationMode:
         raise KeyError(f"unknown citation mode: {text!r}") from None
 
 
-@dataclass(frozen=True)
-class CitationSnippet:
+class CitationSnippet(NamedTuple):
     """A verbatim quote from a context document.
 
     char_span, when present, is in Unicode scalar offsets into the
@@ -161,8 +158,7 @@ class CitationSnippet:
         return out
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(NamedTuple):
     """One feedback statement and the snippets cited for it.
 
     Zero citations is allowed; the verifier reports unsupported statements
@@ -181,8 +177,7 @@ class Statement:
         return out
 
 
-@dataclass(frozen=True)
-class QualityEvalOutput:
+class QualityEvalOutput(NamedTuple):
     """Structured rate/explain/cite output of a content-quality evaluator."""
 
     answer: str  # "Yes" | "No"
@@ -212,8 +207,7 @@ class QualityEvalOutput:
 NO_SUPPORT_ID = "None"
 
 
-@dataclass(frozen=True)
-class RagCitationEntry:
+class RagCitationEntry(NamedTuple):
     """One citation row produced for a retrieval-augmented answer."""
 
     context_id: str
@@ -243,8 +237,7 @@ class RagCitationEntry:
         return out
 
 
-@dataclass(frozen=True)
-class RagCitationOutput:
+class RagCitationOutput(NamedTuple):
     """Citations for a retrieval-augmented answer, plus the mode they obey."""
 
     citations: tuple[RagCitationEntry, ...]
@@ -259,8 +252,7 @@ class RagCitationOutput:
         return tuple(seen)
 
 
-@dataclass(frozen=True)
-class PointwiseVerdict:
+class PointwiseVerdict(NamedTuple):
     """Single-metric Yes/No rating with its justification."""
 
     metriclabel: str  # "Yes" | "No"
@@ -279,8 +271,7 @@ class FilterStatus(str, Enum):
     REJECTED_TOO_LONG = "RejectedTooLong"
 
 
-@dataclass(frozen=True)
-class UnifiedTaskRecord:
+class UnifiedTaskRecord(NamedTuple):
     """One curated training example in the unified prompt/completion shape."""
 
     prompt: str
@@ -301,8 +292,7 @@ class PresentationOrder(str, Enum):
     BA = "BA"
 
 
-@dataclass(frozen=True)
-class PairwiseJudgment:
+class PairwiseJudgment(NamedTuple):
     """One judged A/B comparison, in presented order."""
 
     instruction: str

@@ -9,8 +9,7 @@ versa).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import ClaimNotFoundError, ModeMismatchError
 from .model import (
@@ -23,14 +22,12 @@ from .model import (
 from .verify import MatchPolicy, SourceIndex, normalize, verify_snippet
 
 
-@dataclass(frozen=True)
-class Reference:
+class Reference(NamedTuple):
     label: str  # "1".."k" for quality output, the context_id for RAG
     snippet: str | None = None
 
 
-@dataclass(frozen=True)
-class RenderedText:
+class RenderedText(NamedTuple):
     body: str
     references: tuple[Reference, ...]
     mode: CitationMode

@@ -12,9 +12,9 @@ from __future__ import annotations
 import io
 import json
 import os
-from dataclasses import dataclass
+import re
 from enum import Enum
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from .model import (
     CitationMode,
@@ -36,15 +36,13 @@ class Code(str, Enum):
     EMPTY_REQUIRED = "EmptyRequired"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: Code
     path: str
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...] = ()
 
     @property
@@ -385,27 +383,39 @@ def serialize_canonical(value: Any) -> str:
     return json.dumps(to_json_value(value), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
 def _read_numbered(
     path: str | os.PathLike[str], errors: list[Violation] | None = None
 ) -> Iterator[tuple[int, Any]]:
     """(line number in the file, value) for each non-blank line of a JSONL file.
 
     A malformed line raises SchemaError naming its line, or, when errors is
-    given, is appended to it and skipped.
+    given, is appended to it and skipped. A file that is not UTF-8 always
+    raises SchemaError, naming the line of its first undecodable byte.
     """
     with io.open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                value = json.loads(line)
-            except ValueError as exc:
-                violation = Violation(Code.BAD_JSON, f"line {lineno}", str(exc))
-                if errors is None:
-                    raise SchemaError(ValidationReport((violation,))) from exc
-                errors.append(violation)
-                continue
-            yield lineno, value
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    value = json.loads(line)
+                except ValueError as exc:
+                    violation = Violation(Code.BAD_JSON, f"line {lineno}", str(exc))
+                    if errors is None:
+                        raise SchemaError(ValidationReport((violation,))) from exc
+                    errors.append(violation)
+                    continue
+                yield lineno, value
+        except UnicodeDecodeError as exc:
+            # The stream decodes ahead of the lines it yields. Read them again with
+            # each bad byte escaped to a lone surrogate, which UTF-8 never decodes to.
+            with io.open(path, "r", encoding="utf-8", errors="surrogateescape") as again:
+                bad = next(n for n, text in enumerate(again, start=1) if _ESCAPED_BYTE.search(text))
+            violation = Violation(Code.BAD_JSON, f"line {bad}", f"not UTF-8: {exc.reason}")
+            raise SchemaError(ValidationReport((violation,))) from exc
 
 
 def read_jsonl(

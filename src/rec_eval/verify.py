@@ -13,11 +13,10 @@ import re
 import unicodedata
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
 from operator import itemgetter
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import schema_io
 from .errors import (
@@ -145,8 +144,7 @@ class SourceIndex:
         return [span for _, span in segment_sentences(self.body)]
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     """Outcome of locating one snippet in one source text.
 
     char_span is the first occurrence; occurrence_count counts
@@ -193,8 +191,7 @@ def verify_snippet(
     return MatchResult(True, index.span(idx, idx + len(norm_snip)), index.norm.count(norm_snip))
 
 
-@dataclass(frozen=True)
-class CitationCheck:
+class CitationCheck(NamedTuple):
     index: int
     snippet: str
     result: MatchResult
@@ -207,8 +204,7 @@ class CitationCheck:
         return out
 
 
-@dataclass(frozen=True)
-class ClaimCheck:
+class ClaimCheck(NamedTuple):
     index: int
     claim: str
     result: MatchResult
@@ -217,8 +213,7 @@ class ClaimCheck:
         return {"index": self.index, "claim": self.claim, **self.result.to_json_value()}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Verbatim-check outcome for one structured output.
 
     ok covers citations and claims; statement extractiveness is reported but
@@ -328,8 +323,7 @@ def verify_rag_output(
     )
 
 
-@dataclass(frozen=True)
-class ReplyCheck:
+class ReplyCheck(NamedTuple):
     """One evaluator reply, parsed strictly and then checked verbatim.
 
     value is None when the reply failed to parse. verification is None when

@@ -1,4 +1,4 @@
-"""Bad templates, worker counts, token budgets and input records are usage errors (exit 1), found before any backend call."""
+"""Bad templates, worker counts, token budgets, mock scripts, config values and input files are usage errors (exit 1), found before any backend call."""
 
 import json
 import math
@@ -69,7 +69,7 @@ def test_parallelism_flag_below_one_is_a_usage_error(workdir, capsys, command, v
 
 
 @pytest.mark.parametrize("command", [_datagen, _judge])
-@pytest.mark.parametrize("value", [0, -1, "x", None])
+@pytest.mark.parametrize("value", [0, -1, "x", None, math.inf])
 def test_config_parallelism_below_one_is_a_usage_error(workdir, capsys, command, value):
     (workdir / "config.json").write_text(json.dumps({"parallelism": value}), encoding="utf-8")
     assert main(command(workdir) + ["--config", str(workdir / "config.json")]) == 1
@@ -96,3 +96,47 @@ def test_a_bad_record_is_named_by_its_line_in_the_file(workdir, capsys, command,
     (workdir / path).write_text(good + "\n" + json.dumps({"other": 1}) + "\n", encoding="utf-8")
     assert main(command(workdir)) == 1
     assert f"{workdir / path} line 3: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [_evaluate, _datagen, _judge])
+@pytest.mark.parametrize("content", [None, b"{not json", b"\xff\xfe{}", b"[]"])
+def test_a_bad_mock_script_is_a_usage_error_naming_it(workdir, capsys, command, content):
+    script = workdir / "script.json"
+    if content is None:
+        script.unlink()
+    else:
+        script.write_bytes(content)
+    assert main(command(workdir)) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: cannot load mock script {script}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("max_retries", "x"), ("max_retries", None),
+                                        ("max_retries", math.inf), ("timeout_ms", "x")])
+def test_a_config_count_that_is_not_an_integer_is_a_usage_error(workdir, capsys, key, value):
+    config = workdir / "config.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    # timeout_ms is read only for an HTTP backend; port 1 is never dialled.
+    backend = ["--backend", "http://127.0.0.1:1/v1"] if key == "timeout_ms" else []
+    assert main(_evaluate(workdir) + backend + ["--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: config {config}: {key} must be an integer, not {value!r}" in err
+    assert "Traceback" not in err
+
+
+def test_non_utf8_text_input_is_a_usage_error_naming_the_file(workdir, capsys):
+    (workdir / "context.txt").write_bytes(b"\xff\xfeT\x00h\x00e\x00")
+    assert main(_evaluate(workdir)) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: cannot read {workdir / 'context.txt'}: 'utf-8' codec can't decode" in err
+    assert "Traceback" not in err
+
+
+def test_non_utf8_jsonl_input_is_a_usage_error_naming_the_file_and_line(workdir, capsys):
+    pred = workdir / "pred.jsonl"
+    pred.write_bytes(json.dumps({"metric": "f"}).encode() + b"\n\n\xff\xfe{}\n")
+    assert main(["score", "--pred", str(pred)]) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: {pred}: BadJson at line 3: not UTF-8: invalid start byte" in err
+    assert "Traceback" not in err

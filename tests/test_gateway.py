@@ -310,6 +310,20 @@ def http_server(monkeypatch):
     assert not thread.is_alive()
 
 
+@pytest.fixture
+def http_backend(http_server):
+    """HttpBackend factory, by default for the live server; closes what it made at teardown."""
+    made = []
+
+    def make(url=http_server[1], model="m", **kwargs):
+        made.append(HttpBackend(url, model, **kwargs))
+        return made[-1]
+
+    yield make
+    for backend in made:
+        backend.close()
+
+
 def _ok_body(text, finish="stop"):
     return {
         "choices": [{"message": {"content": text}, "finish_reason": finish}],
@@ -317,11 +331,10 @@ def _ok_body(text, finish="stop"):
     }
 
 
-def test_http_backend_request_shape_and_auth_header(http_server, monkeypatch, tmp_path):
-    server, url = http_server
+def test_http_backend_request_shape_and_auth_header(http_backend, monkeypatch, tmp_path):
     monkeypatch.setenv("REC_API_KEY", "secret-key-123")
     _Script.script.append((200, _ok_body("hi there")))
-    gw = _gw(HttpBackend(url, "test-model"), audit_log_path=str(tmp_path / "a.jsonl"))
+    gw = _gw(http_backend(model="test-model"), audit_log_path=str(tmp_path / "a.jsonl"))
     result = gw.complete(CompletionRequest(prompt="the prompt", temperature=0.5, seed=9))
     assert result.text == "hi there"
     assert result.prompt_tokens == 11 and result.output_tokens == 7
@@ -337,59 +350,53 @@ def test_http_backend_request_shape_and_auth_header(http_server, monkeypatch, tm
     assert "secret-key-123" not in audit
 
 
-def test_http_backend_retries_5xx_then_succeeds(http_server, monkeypatch, tmp_path):
-    server, url = http_server
+def test_http_backend_retries_5xx_then_succeeds(http_backend, monkeypatch, tmp_path):
     monkeypatch.setenv("REC_API_KEY", "k")
     _Script.script.extend([(503, {"error": "busy"}), (200, _ok_body("second try"))])
     audit = tmp_path / "audit.jsonl"
-    gw = _gw(HttpBackend(url, "m"), max_retries=2, audit_log_path=str(audit))
+    gw = _gw(http_backend(), max_retries=2, audit_log_path=str(audit))
     assert gw.complete(CompletionRequest(prompt="p")).text == "second try"
     entry = json.loads(audit.read_text().splitlines()[0])
     assert entry["retries"] == 1
     assert len(_Script.seen) == 2
 
 
-def test_http_backend_401_is_auth_failure_no_retry(http_server, monkeypatch):
-    server, url = http_server
+def test_http_backend_401_is_auth_failure_no_retry(http_backend, monkeypatch):
     monkeypatch.setenv("REC_API_KEY", "bad")
     _Script.script.append((401, {"error": "unauthorized"}))
-    gw = _gw(HttpBackend(url, "m"), max_retries=3)
+    gw = _gw(http_backend(), max_retries=3)
     with pytest.raises(AuthFailureError):
         gw.complete(CompletionRequest(prompt="p"))
     assert len(_Script.seen) == 1
 
 
-def test_http_backend_429_is_transport(http_server, monkeypatch):
-    server, url = http_server
+def test_http_backend_429_is_transport(http_backend, monkeypatch):
     monkeypatch.setenv("REC_API_KEY", "k")
     _Script.script.extend([(429, {"error": "slow down"}), (200, _ok_body("ok"))])
-    gw = _gw(HttpBackend(url, "m"), max_retries=1)
+    gw = _gw(http_backend(), max_retries=1)
     assert gw.complete(CompletionRequest(prompt="p")).text == "ok"
 
 
-def test_http_backend_other_4xx_is_refusal(http_server, monkeypatch):
-    server, url = http_server
+def test_http_backend_other_4xx_is_refusal(http_backend, monkeypatch):
     monkeypatch.setenv("REC_API_KEY", "k")
     _Script.script.append((400, {"error": "bad request"}))
-    gw = _gw(HttpBackend(url, "m"))
+    gw = _gw(http_backend())
     with pytest.raises(BackendRefusalError):
         gw.complete(CompletionRequest(prompt="p"))
 
 
-def test_http_backend_length_finish_sets_truncated(http_server, monkeypatch):
-    server, url = http_server
+def test_http_backend_length_finish_sets_truncated(http_backend, monkeypatch):
     monkeypatch.setenv("REC_API_KEY", "k")
     _Script.script.append((200, _ok_body("cut", finish="length")))
-    gw = _gw(HttpBackend(url, "m"))
+    gw = _gw(http_backend())
     result = gw.complete(CompletionRequest(prompt="p"))
     assert result.truncated
 
 
-def test_http_backend_no_key_sends_no_auth_header(http_server, monkeypatch):
-    server, url = http_server
+def test_http_backend_no_key_sends_no_auth_header(http_backend, monkeypatch):
     monkeypatch.delenv("REC_API_KEY", raising=False)
     _Script.script.append((200, _ok_body("anon")))
-    gw = _gw(HttpBackend(url, "m"))
+    gw = _gw(http_backend())
     assert gw.complete(CompletionRequest(prompt="p")).text == "anon"
     assert "Authorization" not in _Script.seen[0]["headers"]
 
@@ -402,12 +409,11 @@ def test_http_backend_connection_error_is_transport():
 
 
 @pytest.mark.parametrize("count", ["12", True, -3, 2.5, None])
-def test_http_backend_estimates_token_counts_it_cannot_use(http_server, count):
-    server, url = http_server
+def test_http_backend_estimates_token_counts_it_cannot_use(http_backend, count):
     # None stands for a usage field that is not an object at all
     usage = [1] if count is None else {"prompt_tokens": 4, "completion_tokens": count}
     _Script.script.extend([(200, {"choices": [{"message": {"content": "three word reply"}}], "usage": usage})] * 2)
-    slots = _gw(HttpBackend(url, "m")).complete_batch(
+    slots = _gw(http_backend()).complete_batch(
         [CompletionRequest(prompt="p one"), CompletionRequest(prompt="p two")], parallelism=2
     )
     assert [s.output_tokens for s in slots] == [round(3 * 1.3)] * 2
@@ -512,43 +518,40 @@ def test_http_backend_closes_the_connections_of_finished_batches(http_server):
     assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
-def test_http_backend_keeps_one_connection_per_thread(http_server):
-    server, url = http_server
-    gw = _gw(HttpBackend(url, "m"))
+def test_http_backend_keeps_one_connection_per_thread(http_backend):
+    gw = _gw(http_backend())
     assert gw.complete(CompletionRequest(prompt="one")).text == "echo:one"
     assert gw.complete(CompletionRequest(prompt="two")).text == "echo:two"
     assert _Script.connections == 1
 
 
-def test_http_backend_reopens_a_stale_connection_without_a_retry(http_server, tmp_path):
-    server, url = http_server
+def test_http_backend_reopens_a_stale_connection_without_a_retry(http_backend, tmp_path):
     _Script.drop_idle = True
     audit = tmp_path / "audit.jsonl"
-    gw = _gw(HttpBackend(url, "m"), max_retries=0, audit_log_path=str(audit))
+    gw = _gw(http_backend(), max_retries=0, audit_log_path=str(audit))
     assert gw.complete(CompletionRequest(prompt="one")).text == "echo:one"
     assert gw.complete(CompletionRequest(prompt="two")).text == "echo:two"
     assert [json.loads(line)["retries"] for line in audit.read_text().splitlines()] == [0, 0]
     assert _Script.connections == 2
 
 
-def test_http_backend_batch_over_a_live_server_keeps_order(http_server):
-    server, url = http_server
+def test_http_backend_batch_over_a_live_server_keeps_order(http_backend):
     prompts = [f"p{i}" for i in range(12)]
-    slots = _gw(HttpBackend(url, "m")).complete_batch([CompletionRequest(prompt=p) for p in prompts], parallelism=4)
+    slots = _gw(http_backend()).complete_batch([CompletionRequest(prompt=p) for p in prompts], parallelism=4)
     assert [s.text for s in slots] == [f"echo:{p}" for p in prompts]
     assert _Script.connections <= 4
 
 
-def test_http_backend_goes_through_http_proxy_unless_no_proxy(http_server, monkeypatch):
+def test_http_backend_goes_through_http_proxy_unless_no_proxy(http_server, http_backend, monkeypatch):
     server, url = http_server
     proxy = f"http://127.0.0.1:{server.server_address[1]}"
     monkeypatch.setenv("HTTP_PROXY", proxy)
     remote = "http://backend.invalid/v1/chat/completions?v=1"
-    assert _gw(HttpBackend(remote, "m")).complete(CompletionRequest(prompt="p")).text == "echo:p"
+    assert _gw(http_backend(remote)).complete(CompletionRequest(prompt="p")).text == "echo:p"
     assert [seen["path"] for seen in _Script.seen] == [remote]
 
     # the proxy now points at a closed port; NO_PROXY must route around it
     monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:1")
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
-    assert _gw(HttpBackend(url, "m")).complete(CompletionRequest(prompt="q")).text == "echo:q"
+    assert _gw(http_backend(url)).complete(CompletionRequest(prompt="q")).text == "echo:q"
     assert [seen["path"] for seen in _Script.seen] == [remote, "/v1/chat/completions"]

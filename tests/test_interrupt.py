@@ -4,8 +4,6 @@ Each case runs in a fresh interpreter, because it delivers a real SIGINT to
 its own process. The responder signals on the first prompt and then keeps
 that call in flight, so the interrupt lands while the batch is waiting on it;
 instant replies could otherwise finish the batch before the signal arrives.
-It waits before signalling, so that every item has been submitted: an
-interrupt during submission escapes complete_batch without cancelling.
 """
 
 import json

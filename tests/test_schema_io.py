@@ -229,6 +229,19 @@ def test_jsonl_bad_line_raises_with_line_number(tmp_path):
     assert len(errors) == 1
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+@pytest.mark.parametrize("skip_bad", [False, True])
+def test_jsonl_not_utf8_raises_with_the_line_of_the_bad_byte(tmp_path, newline, skip_bad):
+    # The first line outgrows the text stream's read-ahead, so the error
+    # surfaces while decoding, before the lines around it are yielded.
+    path = tmp_path / "data.jsonl"
+    big = json.dumps({"a": "x" * 20000}).encode()
+    path.write_bytes(newline.join([big, b"", b'{"b": "caf\xe9"}', b"{}"]) + newline)
+    with pytest.raises(SchemaError) as err:
+        read_jsonl(path, skip_bad=skip_bad)
+    assert str(err.value) == "BadJson at line 3: not UTF-8: invalid continuation byte"
+
+
 @st.composite
 def quality_outputs(draw):
     texts = st.text(
