@@ -99,6 +99,14 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
+def _read_input(path: str) -> str:
+    """A text file that a prompt is built from; an empty one is bad input."""
+    text = _read_text(path)
+    if not text.strip():
+        raise UsageError(f"{path} is empty")
+    return text
+
+
 def _read_jsonl(path: str) -> list[tuple[int, Any]]:
     """Each record of a JSONL file with its line number in the file, blank lines counted."""
     try:
@@ -197,25 +205,29 @@ def _lookup(parse: Callable[[str], Any], name: str) -> Any:
 def _load_chunks(path: str) -> list[ContextDocument]:
     """Chunks file: a JSON array or JSONL of {context_id, body} objects."""
     text = _read_text(path)
-    stripped = text.lstrip()
-    try:
-        if stripped.startswith("["):
-            items = json.loads(text)
-        else:
-            items = [json.loads(line) for line in text.splitlines() if line.strip()]
-    except ValueError as exc:
-        raise UsageError(f"{path}: not valid JSON or JSONL: {exc}") from exc
-    chunks = []
-    for item in items:
+    if text.lstrip().startswith("["):
+        try:
+            items = [(f"chunk {i}", item) for i, item in enumerate(json.loads(text), start=1)]
+        except ValueError as exc:
+            raise UsageError(f"{path}: not valid JSON: {exc}") from exc
+    else:
+        items = [(f"line {i}", item) for i, item in _read_jsonl(path)]
+    chunks: list[ContextDocument] = []
+    seen: set[str] = set()
+    for where, item in items:
         if not isinstance(item, dict) or "context_id" not in item or "body" not in item:
-            raise UsageError(f"{path}: every chunk needs context_id and body")
-        chunks.append(
-            ContextDocument(
-                body=str(item["body"]),
-                context_id=str(item["context_id"]),
-                source_kind=SourceKind.RETRIEVED_CHUNK,
-            )
+            raise UsageError(f"{path} {where}: every chunk needs context_id and body")
+        chunk = ContextDocument(
+            body=str(item["body"]),
+            context_id=str(item["context_id"]),
+            source_kind=SourceKind.RETRIEVED_CHUNK,
         )
+        if not chunk.body.strip() or not chunk.context_id.strip():
+            raise UsageError(f"{path} {where}: a chunk's context_id and body must be non-empty")
+        if chunk.context_id in seen:
+            raise UsageError(f"{path} {where}: duplicate context_id {chunk.context_id!r}")
+        seen.add(chunk.context_id)
+        chunks.append(chunk)
     return chunks
 
 
@@ -301,8 +313,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     mode = _lookup(parse_citation_mode, args.mode)
     if not mode.valid_for_quality:
         raise UsageError(f"mode {mode.value} carries no snippets; content-quality evaluation needs them")
-    context = _read_text(args.context)
-    generation = _read_text(args.generation)
+    context = _read_input(args.context)
+    generation = _read_input(args.generation)
     config = _load_config(args.config)
     prompt = build_quality_prompt(metric, context, generation, _templates(args))
     return _complete_and_check(args, config, prompt, "quality", context, mode)
@@ -311,7 +323,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_cite(args: argparse.Namespace) -> int:
     mode = _lookup(parse_citation_mode, args.mode)
     chunks = _load_chunks(args.chunks)
-    answer = _read_text(args.answer)
+    answer = _read_input(args.answer)
     config = _load_config(args.config)
     prompt = build_rag_cite_prompt(chunks, answer, mode, _templates(args))
     return _complete_and_check(args, config, prompt, "rag", chunks, mode, answer)
@@ -494,6 +506,9 @@ def cmd_judge(args: argparse.Namespace) -> int:
     for i, pair in _read_jsonl(args.pairs):
         if not isinstance(pair, dict) or not all(k in pair for k in ("instruction", "chosen", "rejected")):
             raise UsageError(f"{args.pairs} line {i}: pair needs instruction, chosen, rejected")
+        for key in ("instruction", "chosen", "rejected"):
+            if not isinstance(pair[key], str) or not pair[key].strip():
+                raise UsageError(f"{args.pairs} line {i}: {key} must be a non-empty string")
         pairs.append(pair)
     if not pairs:
         raise UsageError("no pairs to judge")

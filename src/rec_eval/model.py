@@ -147,16 +147,6 @@ class CitationSnippet(NamedTuple):
     context_id: str | None = None
     char_span: tuple[int, int] | None = None
 
-    def violations(self) -> list[str]:
-        out = []
-        if not self.snippet:
-            out.append("citation snippet must be non-empty")
-        if self.char_span is not None:
-            start, end = self.char_span
-            if start < 0 or end < start:
-                out.append(f"char_span must satisfy 0 <= start <= end, got {self.char_span}")
-        return out
-
 
 class Statement(NamedTuple):
     """One feedback statement and the snippets cited for it.
@@ -168,14 +158,6 @@ class Statement(NamedTuple):
     statement_string: str
     citations: tuple[CitationSnippet, ...] = ()
 
-    def violations(self) -> list[str]:
-        out = []
-        if not self.statement_string:
-            out.append("statement_string must be non-empty")
-        for i, cit in enumerate(self.citations):
-            out.extend(f"citations[{i}]: {v}" for v in cit.violations())
-        return out
-
 
 class QualityEvalOutput(NamedTuple):
     """Structured rate/explain/cite output of a content-quality evaluator."""
@@ -183,20 +165,6 @@ class QualityEvalOutput(NamedTuple):
     answer: str  # "Yes" | "No"
     feedback: str
     statements: tuple[Statement, ...] = ()
-
-    def violations(self) -> list[str]:
-        out = []
-        if self.answer not in ("Yes", "No"):
-            out.append(f'answer must be "Yes" or "No", got {self.answer!r}')
-        if not self.feedback.strip():
-            out.append("feedback must be non-empty")
-        # A failing verdict has to point at something; statements may be
-        # empty only for a clean pass.
-        if not self.statements and self.answer == "No":
-            out.append('statements may be empty only when answer is "Yes"')
-        for i, st in enumerate(self.statements):
-            out.extend(f"statements[{i}]: {v}" for v in st.violations())
-        return out
 
     def all_snippets(self) -> list[CitationSnippet]:
         """Citations of all statements, flattened in the declared order."""
@@ -213,28 +181,6 @@ class RagCitationEntry(NamedTuple):
     context_id: str
     claim: str | None = None
     snippet: str | None = None
-
-    def violations_for_mode(self, mode: CitationMode) -> list[str]:
-        out = []
-        if not self.context_id:
-            out.append("context_id must be non-empty")
-        if mode.wants_claim:
-            if self.claim is None:
-                out.append(f"claim required in mode {mode.value}")
-            elif not self.claim:
-                out.append("claim must be non-empty")
-        elif self.claim is not None:
-            out.append(f"claim not allowed in mode {mode.value}")
-        # An unsupported entry has no chunk to quote from, so the snippet
-        # requirement is waived for it.
-        if mode.wants_snippet:
-            if self.snippet is None and self.context_id != NO_SUPPORT_ID:
-                out.append(f"snippet required in mode {mode.value}")
-            elif self.snippet is not None and not self.snippet:
-                out.append("snippet must be non-empty")
-        elif self.snippet is not None:
-            out.append(f"snippet not allowed in mode {mode.value}")
-        return out
 
 
 class RagCitationOutput(NamedTuple):

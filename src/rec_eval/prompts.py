@@ -58,7 +58,10 @@ class TemplateSet:
         if self.directory is not None:
             candidate = self.directory / filename
             if candidate.is_file():
-                text = candidate.read_text(encoding="utf-8")
+                try:
+                    text = candidate.read_text(encoding="utf-8")
+                except (OSError, UnicodeDecodeError) as exc:
+                    raise TemplateError(f"cannot read template {candidate}: {exc}") from exc
         if text is None:
             text = resources.files(__package__).joinpath("templates", filename).read_text("utf-8")
         text = text.rstrip("\n")

@@ -1,10 +1,13 @@
-"""Parsing and canonical serialization of structured evaluator outputs.
+"""Parsing and canonical serialization of evaluator replies; JSONL reading.
 
 The envelope is lenient (prose and code fences around the JSON are fine, the
-leftmost top-level object wins); the payload is strict (missing fields, wrong
-types, and invariant violations all reject). Parsers are total: they return a
-report instead of raising on bad input, and the raising wrappers exist for
-callers that prefer exceptions.
+leftmost top-level object wins); the payload is strict. Each reply type's
+shape is one table of fields, and one walker parses them all: a missing or
+null required field, a wrong type or a blank string rejects the reply, with
+the path of the field at fault ($.citations[2].claim). An optional field
+that is absent or null reads as None. Parsers are total: they return a
+report instead of raising, and the raising wrappers exist for callers that
+prefer exceptions.
 """
 
 from __future__ import annotations
@@ -14,9 +17,11 @@ import json
 import os
 import re
 from enum import Enum
-from typing import Any, Iterator, NamedTuple
+from functools import partial
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .model import (
+    NO_SUPPORT_ID,
     CitationMode,
     CitationSnippet,
     PointwiseVerdict,
@@ -24,7 +29,6 @@ from .model import (
     RagCitationEntry,
     RagCitationOutput,
     Statement,
-    UnifiedTaskRecord,
 )
 
 
@@ -50,13 +54,7 @@ class ValidationReport(NamedTuple):
         return not self.violations
 
     def to_json_value(self) -> dict[str, Any]:
-        return {
-            "ok": self.ok,
-            "violations": [
-                {"code": v.code.value, "path": v.path, "detail": v.detail}
-                for v in self.violations
-            ],
-        }
+        return {"ok": self.ok, "violations": to_json_value(self.violations)}
 
     def __str__(self) -> str:
         if self.ok:
@@ -65,7 +63,8 @@ class ValidationReport(NamedTuple):
 
 
 class SchemaError(ValueError):
-    """Raised by the strict parse_* wrappers; carries the full report."""
+    """Raised by the strict parse_* wrappers, and by the JSONL readers on a
+    line that is not JSON or not UTF-8; carries the full report."""
 
     def __init__(self, report: ValidationReport):
         super().__init__(str(report))
@@ -97,144 +96,180 @@ _NO_JSON = ValidationReport(
     (Violation(Code.BAD_JSON, "$", "no parseable JSON object in reply"),)
 )
 
-
-def _envelope(raw: str) -> dict | None:
-    """The reply's leftmost JSON object, or None when it holds none."""
-    found = extract_first_json_object(raw)
-    return None if found is None else found[0]
+# A value parser takes (JSON value, its path, violations out) and returns the
+# parsed value, or None after appending at least one violation.
+_Parse = Callable[[Any, str, list], Any]
 
 
-def _normalize_yes_no(value: Any, path: str, out: list[Violation]) -> str | None:
+def _text(value: Any, path: str, out: list[Violation]) -> str | None:
     if not isinstance(value, str):
         out.append(Violation(Code.WRONG_TYPE, path, f"expected string, got {type(value).__name__}"))
         return None
-    lowered = value.strip().lower()
-    if lowered == "yes":
-        return "Yes"
-    if lowered == "no":
-        return "No"
-    out.append(Violation(Code.WRONG_TYPE, path, f'expected "Yes" or "No", got {value!r}'))
-    return None
-
-
-def _require(obj: dict, key: str, path: str, out: list[Violation]) -> Any:
-    if key not in obj:
-        out.append(Violation(Code.MISSING_FIELD, path, f"missing required field {key!r}"))
-        return None
-    return obj[key]
-
-
-def _require_str(obj: dict, key: str, path: str, out: list[Violation]) -> str | None:
-    if key not in obj:
-        out.append(Violation(Code.MISSING_FIELD, path, f"missing required field {key!r}"))
-        return None
-    value = obj[key]
-    if not isinstance(value, str):
-        out.append(
-            Violation(Code.WRONG_TYPE, f"{path}.{key}", f"expected string, got {type(value).__name__}")
-        )
-        return None
-    if not value:
-        out.append(Violation(Code.EMPTY_REQUIRED, f"{path}.{key}", "must be non-empty"))
+    if not value.strip():
+        out.append(Violation(Code.EMPTY_REQUIRED, path, "must be non-empty"))
         return None
     return value
 
 
-def _parse_citation_item(item: Any, path: str, out: list[Violation]) -> CitationSnippet | None:
+def _yes_no(value: Any, path: str, out: list[Violation]) -> str | None:
+    label = value.strip().lower() if isinstance(value, str) else None
+    if label in ("yes", "no"):
+        return label.capitalize()
+    out.append(Violation(Code.WRONG_TYPE, path, f'expected "Yes" or "No", got {value!r}'))
+    return None
+
+
+def _span(value: Any, path: str, out: list[Violation]) -> tuple[int, int] | None:
+    if (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(type(x) is int for x in value)
+        and 0 <= value[0] <= value[1]
+    ):
+        return value[0], value[1]
+    out.append(Violation(Code.WRONG_TYPE, path, "expected [start, end] ints with 0 <= start <= end"))
+    return None
+
+
+def _array(item: _Parse) -> _Parse:
+    def parse(value: Any, path: str, out: list[Violation]) -> tuple | None:
+        if not isinstance(value, list):
+            out.append(Violation(Code.WRONG_TYPE, path, "expected array"))
+            return None
+        return tuple(item(x, f"{path}[{i}]", out) for i, x in enumerate(value))
+
+    return parse
+
+
+def _record(
+    make: Callable[..., Any],
+    fields: tuple[tuple[str, _Parse, bool], ...],
+    check: Callable[[Any, str, list[Violation]], None] | None = None,
+) -> _Parse:
+    """A parser of a JSON object into make(*values), one value per field.
+
+    Each field is (key, value parser, required). Unknown keys are ignored.
+    An optional field that is absent or null reads as None; a required one
+    is MissingField or WrongType. check, when given, sees the record once
+    every field has parsed, and appends what a rule across fields breaks.
+    """
+
+    def parse(value: Any, path: str, out: list[Violation]) -> Any:
+        if not isinstance(value, dict):
+            out.append(Violation(Code.WRONG_TYPE, path, "expected object"))
+            return None
+        before = len(out)
+        values = []
+        for key, parse_value, required in fields:
+            item = value.get(key)
+            if item is not None:
+                item = parse_value(item, f"{path}.{key}", out)
+            elif required and key in value:
+                out.append(Violation(Code.WRONG_TYPE, f"{path}.{key}", f"required field {key!r} is null"))
+            elif required:
+                out.append(Violation(Code.MISSING_FIELD, f"{path}.{key}", f"missing required field {key!r}"))
+            values.append(item)
+        if len(out) > before:
+            return None
+        record = make(*values)
+        if check is not None:
+            check(record, path, out)
+        return record if len(out) == before else None
+
+    return parse
+
+
+def _citation(value: Any, path: str, out: list[Violation]) -> CitationSnippet | None:
     # Both published shapes are accepted: a bare snippet string, or an
     # object carrying at least {"snippet": ...}. Canonical form is the object.
-    if isinstance(item, str):
-        if not item:
-            out.append(Violation(Code.EMPTY_REQUIRED, path, "snippet must be non-empty"))
-            return None
-        return CitationSnippet(snippet=item)
-    if not isinstance(item, dict):
+    if isinstance(value, str):
+        snippet = _text(value, path, out)
+        return None if snippet is None else CitationSnippet(snippet)
+    if isinstance(value, dict):
+        return _SNIPPET(value, path, out)
+    out.append(Violation(Code.WRONG_TYPE, path, f"expected string or object, got {type(value).__name__}"))
+    return None
+
+
+def _needs_statements(reply: QualityEvalOutput, path: str, out: list[Violation]) -> None:
+    # A failing verdict has to point at something; statements may be empty
+    # only for a clean pass.
+    if reply.answer == "No" and not reply.statements:
         out.append(
-            Violation(Code.WRONG_TYPE, path, f"expected string or object, got {type(item).__name__}")
+            Violation(Code.EMPTY_REQUIRED, f"{path}.statements", 'statements may be empty only when answer is "Yes"')
         )
-        return None
-    snippet = _require_str(item, "snippet", path, out)
-    if snippet is None:
-        return None
-    context_id = None
-    if "context_id" in item:
-        raw_id = item["context_id"]
-        if not isinstance(raw_id, str):
-            out.append(Violation(Code.WRONG_TYPE, f"{path}.context_id", "expected string"))
-            return None
-        context_id = raw_id
-    char_span = None
-    if "char_span" in item:
-        raw_span = item["char_span"]
-        if (
-            not isinstance(raw_span, (list, tuple))
-            or len(raw_span) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in raw_span)
+
+
+def _mode_rule(mode: CitationMode) -> Callable[[RagCitationEntry, str, list[Violation]], None]:
+    """Claim and snippet are each required or forbidden by the mode.
+
+    An unsupported entry (NO_SUPPORT_ID) has no chunk to quote from, so the
+    snippet requirement is waived for it.
+    """
+
+    def check(entry: RagCitationEntry, path: str, out: list[Violation]) -> None:
+        waived = entry.context_id == NO_SUPPORT_ID
+        for key, value, wanted in (
+            ("claim", entry.claim, mode.wants_claim),
+            ("snippet", entry.snippet, mode.wants_snippet),
         ):
-            out.append(Violation(Code.WRONG_TYPE, f"{path}.char_span", "expected [start, end] ints"))
-            return None
-        char_span = (raw_span[0], raw_span[1])
-    return CitationSnippet(
-        snippet=snippet,
-        context_id=context_id,
-        char_span=char_span,
-    )
+            if wanted and value is None and not (key == "snippet" and waived):
+                out.append(Violation(Code.MODE_MISMATCH, f"{path}.{key}", f"{key} required in mode {mode.value}"))
+            elif not wanted and value is not None:
+                out.append(Violation(Code.MODE_MISMATCH, f"{path}.{key}", f"{key} not allowed in mode {mode.value}"))
+
+    return check
+
+
+# The reply shapes: one table of (key, value parser, required) per type.
+_SNIPPET = _record(CitationSnippet, (
+    ("snippet", _text, True),
+    ("context_id", _text, False),
+    ("char_span", _span, False),
+))
+
+_STATEMENT = _record(Statement, (
+    ("statement_string", _text, True),
+    ("citations", _array(_citation), True),
+))
+
+_QUALITY = _record(QualityEvalOutput, (
+    ("answer", _yes_no, True),
+    ("feedback", _text, True),
+    ("statements", _array(_STATEMENT), True),
+), _needs_statements)
+
+_RAG_ENTRY = (
+    ("context_id", _text, True),
+    ("claim", _text, False),
+    ("snippet", _text, False),
+)
+
+_RAG = {
+    mode: _record(partial(RagCitationOutput, mode=mode), (
+        ("citations", _array(_record(RagCitationEntry, _RAG_ENTRY, _mode_rule(mode))), True),
+    ))
+    for mode in CitationMode
+}
+
+_POINTWISE = _record(PointwiseVerdict, (
+    ("metriclabel", _yes_no, True),
+    ("justification", _text, True),
+))
+
+
+def _parse(raw: str, parse: _Parse) -> tuple[Any, ValidationReport]:
+    found = extract_first_json_object(raw)
+    if found is None:
+        return None, _NO_JSON
+    out: list[Violation] = []
+    value = parse(found[0], "$", out)
+    return (None, ValidationReport(tuple(out))) if out else (value, ValidationReport())
 
 
 def try_parse_quality_output(raw: str) -> tuple[QualityEvalOutput | None, ValidationReport]:
     """Parse a content-quality rate/explain/cite reply."""
-    obj = _envelope(raw)
-    if obj is None:
-        return None, _NO_JSON
-    out: list[Violation] = []
-
-    answer_raw = _require(obj, "answer", "$.answer", out)
-    answer = _normalize_yes_no(answer_raw, "$.answer", out) if answer_raw is not None else None
-    feedback = _require_str(obj, "feedback", "$", out)
-
-    statements: list[Statement] = []
-    raw_statements = _require(obj, "statements", "$.statements", out)
-    if raw_statements is not None:
-        if not isinstance(raw_statements, list):
-            out.append(Violation(Code.WRONG_TYPE, "$.statements", "expected array"))
-        else:
-            for i, raw_st in enumerate(raw_statements):
-                path = f"$.statements[{i}]"
-                if not isinstance(raw_st, dict):
-                    out.append(Violation(Code.WRONG_TYPE, path, "expected object"))
-                    continue
-                text = _require_str(raw_st, "statement_string", path, out)
-                raw_cits = _require(raw_st, "citations", f"{path}.citations", out)
-                cits: list[CitationSnippet] = []
-                if raw_cits is not None:
-                    if not isinstance(raw_cits, list):
-                        out.append(Violation(Code.WRONG_TYPE, f"{path}.citations", "expected array"))
-                    else:
-                        for j, item in enumerate(raw_cits):
-                            parsed = _parse_citation_item(item, f"{path}.citations[{j}]", out)
-                            if parsed is not None:
-                                cits.append(parsed)
-                if text is not None:
-                    statements.append(
-                        Statement(
-                            statement_string=text,
-                            citations=tuple(cits),
-                        )
-                    )
-
-    if out:
-        return None, ValidationReport(tuple(out))
-    value = QualityEvalOutput(
-        answer=answer,  # type: ignore[arg-type]
-        feedback=feedback,  # type: ignore[arg-type]
-        statements=tuple(statements),
-    )
-    model_problems = value.violations()
-    if model_problems:
-        return None, ValidationReport(
-            tuple(Violation(Code.EMPTY_REQUIRED, "$", p) for p in model_problems)
-        )
-    return value, ValidationReport()
+    return _parse(raw, _QUALITY)
 
 
 def parse_quality_output(raw: str) -> QualityEvalOutput:
@@ -248,50 +283,7 @@ def try_parse_rag_output(
     raw: str, mode: CitationMode
 ) -> tuple[RagCitationOutput | None, ValidationReport]:
     """Parse a retrieval-citation reply against the requested mode."""
-    obj = _envelope(raw)
-    if obj is None:
-        return None, _NO_JSON
-    out: list[Violation] = []
-
-    entries: list[RagCitationEntry] = []
-    raw_citations = _require(obj, "citations", "$.citations", out)
-    if raw_citations is not None:
-        if not isinstance(raw_citations, list):
-            out.append(Violation(Code.WRONG_TYPE, "$.citations", "expected array"))
-        else:
-            for i, raw_entry in enumerate(raw_citations):
-                path = f"$.citations[{i}]"
-                if not isinstance(raw_entry, dict):
-                    out.append(Violation(Code.WRONG_TYPE, path, "expected object"))
-                    continue
-                context_id = _require_str(raw_entry, "context_id", path, out)
-                claim = raw_entry.get("claim")
-                snippet = raw_entry.get("snippet")
-                if claim is not None and not isinstance(claim, str):
-                    out.append(Violation(Code.WRONG_TYPE, f"{path}.claim", "expected string"))
-                    continue
-                if snippet is not None and not isinstance(snippet, str):
-                    out.append(Violation(Code.WRONG_TYPE, f"{path}.snippet", "expected string"))
-                    continue
-                if context_id is None:
-                    continue
-                entry = RagCitationEntry(
-                    context_id=context_id,
-                    claim=claim,
-                    snippet=snippet,
-                )
-                for problem in entry.violations_for_mode(mode):
-                    code = Code.MODE_MISMATCH if "mode" in problem else Code.EMPTY_REQUIRED
-                    out.append(Violation(code, path, problem))
-                entries.append(entry)
-
-    if out:
-        return None, ValidationReport(tuple(out))
-    value = RagCitationOutput(
-        citations=tuple(entries),
-        mode=mode,
-    )
-    return value, ValidationReport()
+    return _parse(raw, _RAG[mode])
 
 
 def parse_rag_output(raw: str, mode: CitationMode) -> RagCitationOutput:
@@ -303,20 +295,7 @@ def parse_rag_output(raw: str, mode: CitationMode) -> RagCitationOutput:
 
 def try_parse_pointwise(raw: str) -> tuple[PointwiseVerdict | None, ValidationReport]:
     """Parse a single-metric {"metriclabel", "justification"} reply."""
-    obj = _envelope(raw)
-    if obj is None:
-        return None, _NO_JSON
-    out: list[Violation] = []
-    label_raw = _require(obj, "metriclabel", "$.metriclabel", out)
-    label = _normalize_yes_no(label_raw, "$.metriclabel", out) if label_raw is not None else None
-    justification = _require_str(obj, "justification", "$", out)
-    if out:
-        return None, ValidationReport(tuple(out))
-    value = PointwiseVerdict(
-        metriclabel=label,  # type: ignore[arg-type]
-        justification=justification,  # type: ignore[arg-type]
-    )
-    return value, ValidationReport()
+    return _parse(raw, _POINTWISE)
 
 
 def parse_pointwise(raw: str) -> PointwiseVerdict:
@@ -326,52 +305,19 @@ def parse_pointwise(raw: str) -> PointwiseVerdict:
     return value
 
 
-def _snippet_to_json(cit: CitationSnippet) -> dict[str, Any]:
-    obj: dict[str, Any] = {"snippet": cit.snippet}
-    if cit.context_id is not None:
-        obj["context_id"] = cit.context_id
-    if cit.char_span is not None:
-        obj["char_span"] = list(cit.char_span)
-    return obj
-
-
 def to_json_value(value: Any) -> Any:
-    """Canonical JSON value for a core type; optional fields only when set."""
-    if isinstance(value, QualityEvalOutput):
-        return {
-            "answer": value.answer,
-            "feedback": value.feedback,
-            "statements": [
-                {
-                    "statement_string": st.statement_string,
-                    "citations": [_snippet_to_json(c) for c in st.citations],
-                }
-                for st in value.statements
-            ],
-        }
-    if isinstance(value, RagCitationOutput):
-        citations = []
-        for entry in value.citations:
-            obj: dict[str, Any] = {"context_id": entry.context_id}
-            if entry.claim is not None:
-                obj["claim"] = entry.claim
-            if entry.snippet is not None:
-                obj["snippet"] = entry.snippet
-            citations.append(obj)
-        return {"citations": citations}
-    if isinstance(value, PointwiseVerdict):
-        return {"metriclabel": value.metriclabel, "justification": value.justification}
-    if isinstance(value, UnifiedTaskRecord):
-        return {
-            "prompt": value.prompt,
-            "completion": value.completion,
-            "task_type": value.task_type.value,
-            "source_dataset": value.source_dataset,
-            "filter_status": value.filter_status.value,
-        }
-    if isinstance(value, dict):
-        return value
-    raise TypeError(f"no canonical JSON form for {type(value).__name__}")
+    """Canonical JSON value of a record and what it holds.
+
+    A record becomes an object of its fields that are not None, a tuple an
+    array and an enum its value. A rag reply's mode belongs to the request,
+    not to the reply, so it is not written.
+    """
+    if isinstance(value, tuple):
+        fields = getattr(value, "_fields", None)
+        if fields is None:
+            return [to_json_value(x) for x in value]
+        return {key: to_json_value(x) for key, x in zip(fields, value) if x is not None and key != "mode"}
+    return value.value if isinstance(value, Enum) else value
 
 
 def serialize_canonical(value: Any) -> str:

@@ -1,4 +1,4 @@
-"""Bad templates, worker counts, token budgets, mock scripts, config values and input files are usage errors (exit 1), found before any backend call."""
+"""Bad templates, worker counts, token budgets, mock scripts, config values, input files, chunks and judge pairs are usage errors (exit 1), found before any backend call."""
 
 import json
 import math
@@ -14,6 +14,7 @@ REPLY = {
     "statements": [{"statement_string": "Fine.", "citations": ["Refunds take three days."]}],
 }
 CTX = "The store opens at nine. Refunds take three days."
+A, B = {"context_id": "1", "body": "Cats purr."}, {"context_id": "2", "body": "Dogs bark."}
 
 
 @pytest.fixture
@@ -139,4 +140,71 @@ def test_non_utf8_jsonl_input_is_a_usage_error_naming_the_file_and_line(workdir,
     assert main(["score", "--pred", str(pred)]) == 1
     err = capsys.readouterr().err
     assert f"usage error: {pred}: BadJson at line 3: not UTF-8: invalid start byte" in err
+    assert "Traceback" not in err
+
+
+def test_a_template_that_is_not_utf8_is_a_usage_error_naming_it(workdir, capsys):
+    template = workdir / "templates" / "quality_eval.txt"
+    template.write_bytes("Évaluez {generation}.".encode("latin-1"))
+    assert main(_evaluate(workdir) + ["--template-dir", str(workdir / "templates")]) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: cannot read template {template}: 'utf-8' codec can't decode" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, name", [
+    (_evaluate, "context.txt"),
+    (_evaluate, "generation.txt"),
+    (lambda d: _cite(d, "chunks.json"), "generation.txt"),
+])
+@pytest.mark.parametrize("content", ["", " \n"])
+def test_an_empty_prompt_input_is_a_usage_error_naming_it(workdir, capsys, command, name, content):
+    (workdir / "chunks.json").write_text(json.dumps([A]), encoding="utf-8")
+    (workdir / name).write_text(content, encoding="utf-8")
+    assert main(command(workdir)) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: {workdir / name} is empty" in err
+    assert "Traceback" not in err
+
+
+def _cite(d, chunks):
+    return ["cite", "--chunks", str(d / chunks), "--answer", str(d / "generation.txt"),
+            "--backend", f"mock:{d / 'script.json'}"]
+
+
+def _render(d, chunks):
+    (d / "raw.json").write_text('{"citations": []}', encoding="utf-8")
+    return ["render", "--raw", str(d / "raw.json"), "--kind", "rag", "--mode", "inline",
+            "--answer", str(d / "generation.txt"), "--chunks", str(d / chunks)]
+
+
+@pytest.mark.parametrize("command", [_cite, _render])
+@pytest.mark.parametrize("name, chunks, message", [
+    ("chunks.json", [A, B, dict(B, body="Other.")], "chunk 3: duplicate context_id '2'"),
+    ("chunks.jsonl", [A, None, dict(A, body="Other.")], "line 3: duplicate context_id '1'"),
+    ("chunks.json", [A, dict(B, body="")], "chunk 2: a chunk's context_id and body must be non-empty"),
+    ("chunks.jsonl", [dict(A, body=" ")], "line 1: a chunk's context_id and body must be non-empty"),
+    ("chunks.jsonl", [dict(A, context_id="")], "line 1: a chunk's context_id and body must be non-empty"),
+    ("chunks.jsonl", [A, "{not json"], "BadJson at line 2"),
+])
+def test_a_bad_chunk_is_a_usage_error_naming_the_file_and_chunk(workdir, capsys, command, name, chunks, message):
+    path = workdir / name
+    if name.endswith(".json"):
+        path.write_text(json.dumps(chunks), encoding="utf-8")
+    else:
+        lines = ["" if c is None else c if isinstance(c, str) else json.dumps(c) for c in chunks]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(command(workdir, name)) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: {path}" in err and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("instruction", 5), ("chosen", ""), ("rejected", None), ("chosen", " ")])
+def test_a_judge_pair_field_that_is_not_a_non_empty_string_is_a_usage_error(workdir, capsys, key, value):
+    pair = {"instruction": "i", "chosen": "a", "rejected": "b", key: value}
+    (workdir / "pairs.jsonl").write_text(json.dumps(pair) + "\n", encoding="utf-8")
+    assert main(_judge(workdir)) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: {workdir / 'pairs.jsonl'} line 1: {key} must be a non-empty string" in err
     assert "Traceback" not in err

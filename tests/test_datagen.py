@@ -97,6 +97,26 @@ def test_filter_one_rejects_bad_json():
     assert outcome.record.completion == "{{{"
 
 
+POINTWISE_INPUTS = {"query_with_context": CTX, "answer": "a"}
+RAG_INPUTS = {"chunks": [{"context_id": "1", "body": CTX}], "answer": "a"}
+QUALITY_INPUTS = {"task_prompt": CTX, "generation": "g"}
+
+
+@pytest.mark.parametrize(
+    "task_type,inputs,reply,key",
+    [
+        (TaskType.POINTWISE_EVAL, POINTWISE_INPUTS, {"metriclabel": None, "justification": "fine"}, "metriclabel"),
+        (TaskType.CITATION, RAG_INPUTS, {"citations": None}, "citations"),
+        (TaskType.CITATION, QUALITY_INPUTS, {"answer": "Yes", "feedback": "f", "statements": None}, "statements"),
+    ],
+)
+def test_filter_one_rejects_null_in_a_required_field(task_type, inputs, reply, key):
+    task = SourceRecord(source_dataset="d", task_type=task_type, inputs=inputs)
+    outcome = filter_one(json.dumps(reply), task, metric=metric_by_name("faithfulness"))
+    assert outcome.record.filter_status is FilterStatus.REJECTED_BAD_JSON
+    assert outcome.detail == f"WrongType at $.{key}: required field {key!r} is null"
+
+
 def test_filter_one_rejects_non_verbatim():
     fabricated = GOOD_REPLY.replace("Refunds take three days.", "We never do refunds.")
     outcome = filter_one(fabricated, _quality_source(), MatchPolicy.NORMALIZED)

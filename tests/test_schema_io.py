@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from rec_eval import (
     CitationMode,
+    CitationSnippet,
     PointwiseVerdict,
     QualityEvalOutput,
     SchemaError,
@@ -120,7 +121,47 @@ def test_parse_quality_flags_model_rule_no_needs_statements():
     doc = {"answer": "No", "feedback": "bad", "statements": []}
     parsed, report = try_parse_quality_output(json.dumps(doc))
     assert parsed is None
-    assert any(v.code.value == "EmptyRequired" for v in report.violations)
+    assert [(v.code.value, v.path) for v in report.violations] == [("EmptyRequired", "$.statements")]
+
+
+def test_parse_quality_accepts_yes_without_statements_and_null_optionals():
+    assert parse_quality_output('{"answer": "Yes", "feedback": "All good.", "statements": []}').statements == ()
+    doc = dict(GOOD_QUALITY, statements=[
+        {"statement_string": "s", "citations": [{"snippet": "c", "context_id": None, "char_span": None}]}
+    ])
+    assert parse_quality_output(json.dumps(doc)).all_snippets() == [CitationSnippet("c")]
+
+
+def _with_citation(citation):
+    def mutate(d):
+        d["statements"][0]["citations"][0] = citation
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate,code,path",
+    [
+        (lambda d: d.pop("feedback"), "MissingField", "$.feedback"),
+        (lambda d: d.update(feedback="  "), "EmptyRequired", "$.feedback"),
+        (lambda d: d.update(answer="Maybe"), "WrongType", "$.answer"),
+        (lambda d: d.update(answer=None), "WrongType", "$.answer"),
+        (lambda d: d.update(statements=None), "WrongType", "$.statements"),
+        (lambda d: d["statements"][0].pop("statement_string"), "MissingField", "$.statements[0].statement_string"),
+        (lambda d: d["statements"][0].update(statement_string=""), "EmptyRequired", "$.statements[0].statement_string"),
+        (lambda d: d["statements"][0].update(citations=None), "WrongType", "$.statements[0].citations"),
+        (_with_citation(""), "EmptyRequired", "$.statements[0].citations[0]"),
+        (_with_citation({"snippet": ""}), "EmptyRequired", "$.statements[0].citations[0].snippet"),
+        (_with_citation({"context_id": "c"}), "MissingField", "$.statements[0].citations[0].snippet"),
+        (_with_citation({"snippet": "s", "char_span": [3, 1]}), "WrongType", "$.statements[0].citations[0].char_span"),
+    ],
+)
+def test_parse_quality_names_the_field_at_fault(mutate, code, path):
+    doc = json.loads(json.dumps(GOOD_QUALITY))
+    mutate(doc)
+    parsed, report = try_parse_quality_output(json.dumps(doc))
+    assert parsed is None
+    assert [(v.code.value, v.path) for v in report.violations] == [(code, path)], str(report)
 
 
 def test_parse_quality_not_json_reports_badjson():
@@ -178,6 +219,33 @@ def test_parse_rag_requires_string_context_id():
     parsed, report = try_parse_rag_output(json.dumps(doc), CitationMode.POST_FIX)
     assert parsed is None
     assert any(v.code.value == "WrongType" for v in report.violations)
+
+
+@pytest.mark.parametrize(
+    "mode,citations,expected",
+    [
+        (CitationMode.POST_FIX, [{"context_id": "1"}], []),
+        (CitationMode.INLINE, [{"context_id": "1"}], [("ModeMismatch", "$.citations[0].claim")]),
+        (CitationMode.INLINE, [{"context_id": "1", "claim": None}], [("ModeMismatch", "$.citations[0].claim")]),
+        (CitationMode.INLINE, [{"context_id": "1", "claim": ""}], [("EmptyRequired", "$.citations[0].claim")]),
+        (CitationMode.POST_FIX_SNIPPET, [{"context_id": "1"}], [("ModeMismatch", "$.citations[0].snippet")]),
+        (CitationMode.POST_FIX_SNIPPET, [{"context_id": "None", "snippet": "s"}], []),
+        (CitationMode.INLINE_SNIPPET, [{"context_id": "1", "claim": "c", "snippet": "s"}], []),
+        (
+            CitationMode.POST_FIX,
+            [{"context_id": "1", "claim": "c", "snippet": "s"}],
+            [("ModeMismatch", "$.citations[0].claim"), ("ModeMismatch", "$.citations[0].snippet")],
+        ),
+        (CitationMode.POST_FIX, [{"context_id": "1", "snippet": None}], []),
+        (CitationMode.POST_FIX, [{"context_id": ""}], [("EmptyRequired", "$.citations[0].context_id")]),
+        (CitationMode.POST_FIX, [{"claim": "c"}], [("MissingField", "$.citations[0].context_id")]),
+        (CitationMode.POST_FIX, None, [("WrongType", "$.citations")]),
+    ],
+)
+def test_parse_rag_mode_rule_and_paths(mode, citations, expected):
+    parsed, report = try_parse_rag_output(json.dumps({"citations": citations}), mode)
+    assert [(v.code.value, v.path) for v in report.violations] == expected
+    assert (parsed is None) == bool(expected)
 
 
 def test_parse_rag_snippet_waived_for_unsupported_claims():
@@ -242,14 +310,27 @@ def test_jsonl_not_utf8_raises_with_the_line_of_the_bad_byte(tmp_path, newline, 
     assert str(err.value) == "BadJson at line 3: not UTF-8: invalid continuation byte"
 
 
+TEXTS = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=30).filter(
+    lambda s: s.strip()
+)
+
+
 @st.composite
 def quality_outputs(draw):
-    texts = st.text(
-        alphabet=st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=30
-    ).filter(lambda s: s.strip())
+    def citation(snippet):
+        if draw(st.booleans()):
+            return snippet
+        obj = {"snippet": snippet}
+        if draw(st.booleans()):
+            obj["context_id"] = draw(TEXTS)
+        if draw(st.booleans()):
+            start = draw(st.integers(0, 50))
+            obj["char_span"] = [start, start + draw(st.integers(0, 50))]
+        return obj
+
     statements = draw(
         st.lists(
-            st.tuples(texts, st.lists(texts, min_size=0, max_size=3)),
+            st.tuples(TEXTS, st.lists(TEXTS, min_size=0, max_size=3)),
             min_size=0,
             max_size=3,
         )
@@ -257,16 +338,122 @@ def quality_outputs(draw):
     answer = "Yes" if not statements else draw(st.sampled_from(["Yes", "No"]))
     return {
         "answer": answer,
-        "feedback": draw(texts),
+        "feedback": draw(TEXTS),
         "statements": [
-            {"statement_string": s, "citations": cites} for s, cites in statements
+            {"statement_string": s, "citations": [citation(c) for c in cites]} for s, cites in statements
         ],
     }
 
 
-@settings(max_examples=60, deadline=None)
-@given(quality_outputs())
-def test_property_canonical_fixpoint(doc):
-    out = parse_quality_output(json.dumps(doc, ensure_ascii=False))
+@st.composite
+def rag_outputs(draw, mode):
+    entries = []
+    for _ in range(draw(st.integers(0, 3))):
+        unsupported = mode.wants_claim and draw(st.booleans())
+        entry = {"context_id": "None" if unsupported else draw(TEXTS)}
+        if mode.wants_claim:
+            entry["claim"] = draw(TEXTS)
+        if mode.wants_snippet and (not unsupported or draw(st.booleans())):
+            entry["snippet"] = draw(TEXTS)
+        entries.append(entry)
+    return {"citations": entries}
+
+
+@st.composite
+def pointwise_outputs(draw):
+    return {"metriclabel": draw(st.sampled_from(["Yes", "No", " yes", "NO"])), "justification": draw(TEXTS)}
+
+
+# (kind, citation mode, a valid reply document) for every reply type and mode.
+REPLIES = st.one_of(
+    quality_outputs().map(lambda doc: ("quality", None, doc)),
+    pointwise_outputs().map(lambda doc: ("pointwise", None, doc)),
+    *(rag_outputs(mode).map(lambda doc, mode=mode: ("rag", mode, doc)) for mode in CitationMode),
+)
+
+
+def _try_parse(kind, mode, raw):
+    if kind == "quality":
+        return try_parse_quality_output(raw)
+    if kind == "rag":
+        return try_parse_rag_output(raw, mode)
+    return try_parse_pointwise(raw)
+
+
+def _fields(kind, mode, doc):
+    """(path, container, key, value kind, what dropping it breaks) of every field in doc.
+
+    Value kinds are text, label (Yes/No), array and span. Dropping a field
+    gives MissingField, ModeMismatch, or nothing (None) for an optional one.
+    """
+    if kind == "pointwise":
+        yield "$.metriclabel", doc, "metriclabel", "label", "MissingField"
+        yield "$.justification", doc, "justification", "text", "MissingField"
+    elif kind == "quality":
+        yield "$.answer", doc, "answer", "label", "MissingField"
+        yield "$.feedback", doc, "feedback", "text", "MissingField"
+        yield "$.statements", doc, "statements", "array", "MissingField"
+        for i, statement in enumerate(doc["statements"]):
+            at = f"$.statements[{i}]"
+            yield f"{at}.statement_string", statement, "statement_string", "text", "MissingField"
+            yield f"{at}.citations", statement, "citations", "array", "MissingField"
+            for j, cit in enumerate(statement["citations"]):
+                if isinstance(cit, str):
+                    yield f"{at}.citations[{j}]", statement["citations"], j, "text", None
+                    continue
+                yield f"{at}.citations[{j}].snippet", cit, "snippet", "text", "MissingField"
+                if "context_id" in cit:
+                    yield f"{at}.citations[{j}].context_id", cit, "context_id", "text", None
+                if "char_span" in cit:
+                    yield f"{at}.citations[{j}].char_span", cit, "char_span", "span", None
+    else:
+        for i, entry in enumerate(doc["citations"]):
+            at = f"$.citations[{i}]"
+            yield f"{at}.context_id", entry, "context_id", "text", "MissingField"
+            for key in ("claim", "snippet"):
+                waived = key == "snippet" and entry["context_id"] == "None"
+                if key in entry:
+                    yield f"{at}.{key}", entry, key, "text", None if waived else "ModeMismatch"
+        yield "$.citations", doc, "citations", "array", "MissingField"
+
+
+def _expected_code(how, value_kind, dropped, in_array):
+    """The code one breakage gives, or None when the reply stays valid."""
+    if how == "wrong_type" or how == "empty" and value_kind != "text":
+        return "WrongType"
+    if how == "empty":
+        return "EmptyRequired"
+    if in_array:  # dropping an element leaves a valid array; null is of the wrong type
+        return None if how == "drop" else "WrongType"
+    return "WrongType" if how == "null" and dropped == "MissingField" else dropped
+
+
+@settings(max_examples=120, deadline=None)
+@given(REPLIES)
+def test_property_canonical_fixpoint(reply):
+    kind, mode, doc = reply
+    out, report = _try_parse(kind, mode, json.dumps(doc, ensure_ascii=False))
+    assert report.ok, str(report)
     canon = serialize_canonical(out)
-    assert serialize_canonical(parse_quality_output(canon)) == canon
+    again, _ = _try_parse(kind, mode, canon)
+    assert again == out
+    assert serialize_canonical(again) == canon
+
+
+@settings(max_examples=200, deadline=None)
+@given(REPLIES, st.data())
+def test_property_one_broken_field_gives_one_violation_at_its_path(reply, data):
+    kind, mode, doc = reply
+    fields = list(_fields(kind, mode, doc))
+    path, container, key, value_kind, dropped = data.draw(st.sampled_from(fields))
+    how = data.draw(st.sampled_from(["drop", "null", "wrong_type", "empty"]))
+    code = _expected_code(how, value_kind, dropped, not isinstance(key, str))
+    if code is None:
+        return
+    if how == "drop":
+        del container[key]
+    else:
+        container[key] = {"null": None, "wrong_type": 42, "empty": " "}[how]
+    parsed, report = _try_parse(kind, mode, json.dumps(doc, ensure_ascii=False))
+    assert parsed is None
+    assert [(v.code.value, v.path) for v in report.violations] == [(code, path)]
