@@ -41,9 +41,6 @@ from .metrics import (
 from .model import (
     CitationMode,
     ContextDocument,
-    PairwiseJudgment,
-    PresentationOrder,
-    SourceKind,
     TaskType,
     Verdict,
     metric_by_name,
@@ -202,6 +199,34 @@ def _lookup(parse: Callable[[str], Any], name: str) -> Any:
         raise UsageError(str(exc)) from exc
 
 
+def _documents(path: str, items: list[tuple[str, Any]], noun: str) -> list[ContextDocument]:
+    """The {context_id, body} records of a chunks or contexts file, checked.
+
+    body must be a string and context_id a string or an integer, neither
+    blank; ids are unique, and a file without records is bad input.
+    """
+    if not items:
+        raise UsageError(f"{path}: no {noun} in the file")
+    documents: list[ContextDocument] = []
+    seen: set[str] = set()
+    for where, item in items:
+        if not isinstance(item, dict) or "context_id" not in item or "body" not in item:
+            raise UsageError(f"{path} {where}: every {noun} needs context_id and body")
+        body, context_id = item["body"], item["context_id"]
+        if not isinstance(body, str) or isinstance(context_id, bool) or not isinstance(context_id, (str, int)):
+            raise UsageError(
+                f"{path} {where}: a {noun}'s body must be a string and its context_id a string or an integer"
+            )
+        context_id = str(context_id)
+        if not body.strip() or not context_id.strip():
+            raise UsageError(f"{path} {where}: a {noun}'s context_id and body must be non-empty")
+        if context_id in seen:
+            raise UsageError(f"{path} {where}: duplicate context_id {context_id!r}")
+        seen.add(context_id)
+        documents.append(ContextDocument(body=body, context_id=context_id))
+    return documents
+
+
 def _load_chunks(path: str) -> list[ContextDocument]:
     """Chunks file: a JSON array or JSONL of {context_id, body} objects."""
     text = _read_text(path)
@@ -212,23 +237,7 @@ def _load_chunks(path: str) -> list[ContextDocument]:
             raise UsageError(f"{path}: not valid JSON: {exc}") from exc
     else:
         items = [(f"line {i}", item) for i, item in _read_jsonl(path)]
-    chunks: list[ContextDocument] = []
-    seen: set[str] = set()
-    for where, item in items:
-        if not isinstance(item, dict) or "context_id" not in item or "body" not in item:
-            raise UsageError(f"{path} {where}: every chunk needs context_id and body")
-        chunk = ContextDocument(
-            body=str(item["body"]),
-            context_id=str(item["context_id"]),
-            source_kind=SourceKind.RETRIEVED_CHUNK,
-        )
-        if not chunk.body.strip() or not chunk.context_id.strip():
-            raise UsageError(f"{path} {where}: a chunk's context_id and body must be non-empty")
-        if chunk.context_id in seen:
-            raise UsageError(f"{path} {where}: duplicate context_id {chunk.context_id!r}")
-        seen.add(chunk.context_id)
-        chunks.append(chunk)
-    return chunks
+    return _documents(path, items, "chunk")
 
 
 def _print_json(value: Any) -> None:
@@ -330,14 +339,11 @@ def cmd_cite(args: argparse.Namespace) -> int:
 
 
 def _context_map(path: str | None) -> dict[str, str]:
+    """Contexts file: JSONL of {context_id, body} objects, checked as chunks are."""
     if not path:
         return {}
-    out: dict[str, str] = {}
-    for i, rec in _read_jsonl(path):
-        if not isinstance(rec, dict) or "context_id" not in rec or "body" not in rec:
-            raise UsageError(f"{path} line {i}: every context needs context_id and body")
-        out[str(rec["context_id"])] = str(rec["body"])
-    return out
+    items = [(f"line {i}", item) for i, item in _read_jsonl(path)]
+    return {doc.context_id: doc.body for doc in _documents(path, items, "context")}
 
 
 def _validate_one(rec: dict[str, Any], contexts: dict[str, str], policy: MatchPolicy) -> dict[str, Any]:
@@ -363,10 +369,7 @@ def _validate_one(rec: dict[str, Any], contexts: dict[str, str], policy: MatchPo
     missing = [str(i) for i in ids if str(i) not in contexts]
     if missing:
         return {"ok": False, "error": f"unknown context_ids {missing}"}
-    chunks = [
-        ContextDocument(body=contexts[str(i)], context_id=str(i), source_kind=SourceKind.RETRIEVED_CHUNK)
-        for i in ids
-    ]
+    chunks = [ContextDocument(body=contexts[str(i)], context_id=str(i)) for i in ids]
     return check_reply(kind, raw, chunks, mode=mode, answer=answer, policy=policy).to_json_value()
 
 
@@ -516,15 +519,13 @@ def cmd_judge(args: argparse.Namespace) -> int:
     templates = _templates(args)
     with _open_gateway(args, config) as gateway:
         requests = []
-        layout: list[tuple[int, PresentationOrder]] = []
-        for i, pair in enumerate(pairs):
-            prompt_ab = build_pairwise_prompt(pair["instruction"], pair["chosen"], pair["rejected"], templates)
-            requests.append(CompletionRequest(prompt=prompt_ab, seed=args.seed))
-            layout.append((i, PresentationOrder.AB))
+        for pair in pairs:
+            orders = [(pair["chosen"], pair["rejected"])]
             if args.both_orders:
-                prompt_ba = build_pairwise_prompt(pair["instruction"], pair["rejected"], pair["chosen"], templates)
-                requests.append(CompletionRequest(prompt=prompt_ba, seed=args.seed))
-                layout.append((i, PresentationOrder.BA))
+                orders.append((pair["rejected"], pair["chosen"]))
+            for first, second in orders:
+                prompt = build_pairwise_prompt(pair["instruction"], first, second, templates)
+                requests.append(CompletionRequest(prompt=prompt, seed=args.seed))
 
         parallelism = _parallelism(args.parallelism or config.get("parallelism", 4))
         slots = gateway.complete_batch(requests, parallelism=parallelism)
@@ -533,42 +534,18 @@ def cmd_judge(args: argparse.Namespace) -> int:
         print(f"{len(failures)} judge call(s) failed: {failures[0]}", file=sys.stderr)
         return ExitCode.BACKEND
 
-    judgments: list[PairwiseJudgment] = []
-    truths: list[Verdict] = []
-    verdict_by_pair: dict[int, dict[PresentationOrder, Verdict]] = {}
-    for (pair_idx, order), slot in zip(layout, slots):
-        pair = pairs[pair_idx]
-        verdict = parse_pairwise_verdict(slot.text)
-        first, second = (
-            (pair["chosen"], pair["rejected"])
-            if order is PresentationOrder.AB
-            else (pair["rejected"], pair["chosen"])
-        )
-        judgments.append(
-            PairwiseJudgment(
-                instruction=pair["instruction"],
-                response_a=first,
-                response_b=second,
-                verdict=verdict,
-                presentation_order=order,
-            )
-        )
-        truths.append(Verdict.A if order is PresentationOrder.AB else Verdict.B)
-        verdict_by_pair.setdefault(pair_idx, {})[order] = verdict
-
+    # Requests alternate AB, BA per pair with --both-orders: chosen is A, then B.
+    verdicts = [parse_pairwise_verdict(slot.text) for slot in slots]
+    truths = [Verdict.A, Verdict.B] * len(pairs) if args.both_orders else [Verdict.A] * len(pairs)
     report: dict[str, Any] = {
         "n_pairs": len(pairs),
-        "n_judgments": len(judgments),
-        "win_rate": win_rate(judgments, truths),
-        "unparseable": sum(1 for j in judgments if j.verdict is Verdict.UNPARSEABLE),
+        "n_judgments": len(verdicts),
+        "win_rate": win_rate(verdicts, truths),
+        "unparseable": verdicts.count(Verdict.UNPARSEABLE),
     }
     if args.both_orders:
-        order_pairs = [
-            (orders[PresentationOrder.AB], orders[PresentationOrder.BA])
-            for orders in verdict_by_pair.values()
-        ]
         try:
-            report["order_bias"] = order_bias(order_pairs).to_json_value()
+            report["order_bias"] = order_bias(zip(verdicts[0::2], verdicts[1::2])).to_json_value()
         except RecError:
             report["order_bias"] = None
     _print_json(report)

@@ -23,7 +23,6 @@ from .model import (
     ContextDocument,
     EvaluationMetric,
     FilterStatus,
-    SourceKind,
     TaskType,
     UnifiedTaskRecord,
     metric_by_name,
@@ -31,7 +30,6 @@ from .model import (
     parse_citation_mode,
 )
 from .prompts import (
-    PromptText,
     TemplateSet,
     build_pointwise_prompt,
     build_quality_prompt,
@@ -100,11 +98,7 @@ class SourceRecord:
 
     def chunk_documents(self) -> list[ContextDocument]:
         return [
-            ContextDocument(
-                body=chunk["body"],
-                context_id=str(chunk["context_id"]),
-                source_kind=SourceKind.RETRIEVED_CHUNK,
-            )
+            ContextDocument(body=chunk["body"], context_id=str(chunk["context_id"]))
             for chunk in self.inputs.get("chunks", ())
         ]
 
@@ -158,7 +152,7 @@ def _build_prompt(
     task: SourceRecord,
     metric: EvaluationMetric | None,
     templates: TemplateSet | None,
-) -> PromptText:
+) -> str:
     kind = task.kind
     if kind == "rag":
         chunks = task.chunk_documents()
@@ -193,7 +187,7 @@ def filter_one(
     *,
     metric: EvaluationMetric | None = None,
     max_tokens: float = DEFAULT_MAX_TOKENS,
-    prompt: PromptText | None = None,
+    prompt: str | None = None,
 ) -> FilterOutcome:
     """Run one raw completion through parse -> verify -> length, in that order."""
     kind = task.kind
@@ -216,10 +210,10 @@ def filter_one(
         status, detail = FilterStatus.REJECTED_NON_VERBATIM, checked.error or f"{what} not verbatim"
     else:
         completion = schema_io.serialize_canonical(checked.value)
-        if not length_filter(prompt.text, completion, max_tokens):
+        if not length_filter(prompt, completion, max_tokens):
             status, detail = FilterStatus.REJECTED_TOO_LONG, "over the token budget"
     record = UnifiedTaskRecord(
-        prompt=prompt.text,
+        prompt=prompt,
         completion=completion,
         task_type=task.task_type,
         source_dataset=task.source_dataset,
@@ -258,7 +252,7 @@ def generate(
     SourceRecordError before any backend call.
     """
     config = config or PipelineConfig()
-    jobs: list[tuple[SourceRecord, EvaluationMetric | None, PromptText]] = []
+    jobs: list[tuple[SourceRecord, EvaluationMetric | None, str]] = []
     for task in records:
         bad = f"bad source record from {task.source_dataset!r}"
         problems = task.violations()

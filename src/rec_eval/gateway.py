@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple, Protocol, Sequence
 
 from .errors import RecError
-from .prompts import PromptText
 from .tokens import estimate_tokens
 
 logger = logging.getLogger(__name__)
@@ -51,18 +50,14 @@ class CancelledError(GatewayError):
 
 
 class CompletionRequest(NamedTuple):
-    prompt: PromptText | str
+    prompt: str
     temperature: float = 0.0
     max_output_tokens: int = 1024
     seed: int | None = None
 
-    @property
-    def prompt_text(self) -> str:
-        return self.prompt.text if isinstance(self.prompt, PromptText) else self.prompt
-
     def violations(self) -> list[str]:
         out = []
-        if not self.prompt_text.strip():
+        if not self.prompt.strip():
             out.append("prompt must be non-empty")
         if self.temperature < 0:
             out.append("temperature must be >= 0")
@@ -77,7 +72,6 @@ class CompletionResult(NamedTuple):
     text: str
     prompt_tokens: int
     output_tokens: int
-    latency_ms: float
     truncated: bool = False
 
 
@@ -391,7 +385,7 @@ class Gateway:
         problems = req.violations()
         if problems:
             raise ValueError("; ".join(problems))
-        prompt = req.prompt_text
+        prompt = req.prompt
         started = time.perf_counter()
         attempt = 0
         while True:
@@ -437,7 +431,6 @@ class Gateway:
             text=reply.text,
             prompt_tokens=prompt_tokens,
             output_tokens=output_tokens,
-            latency_ms=latency_ms,
             truncated=reply.truncated,
         )
 

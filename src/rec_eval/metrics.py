@@ -12,7 +12,7 @@ import re
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyInputError, HaluGoldError, LengthMismatchError, SnippetNotFoundError
-from .model import CitationSnippet, ContextDocument, PairwiseJudgment, Verdict
+from .model import CitationSnippet, ContextDocument, Verdict
 from .verify import MatchPolicy, SourceIndex, normalize, snap_to_sentences
 
 
@@ -42,9 +42,6 @@ class PRF(NamedTuple):
             recall = tp / (tp + fn)
         f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
         return cls(precision=precision, recall=recall, f1=f1, tp=tp, fp=fp, fn=fn)
-
-    def to_json_value(self) -> dict:
-        return self._asdict()
 
 
 class GoldCitationSet(NamedTuple):
@@ -143,24 +140,20 @@ def parse_pairwise_verdict(judge_text: str) -> Verdict:
 
 
 def win_rate(
-    judgments: Sequence[PairwiseJudgment],
+    verdicts: Sequence[Verdict],
     chosen_is: Sequence[Verdict | str],
 ) -> float:
-    """Fraction of judgments that picked the ground-truth side.
+    """Fraction of verdicts that picked the ground-truth side.
 
     Unparseable verdicts count as losses: a judge that cannot be parsed did
     not pick the right answer.
     """
-    if len(judgments) != len(chosen_is):
-        raise LengthMismatchError(f"{len(judgments)} judgments vs {len(chosen_is)} truths")
-    if not judgments:
-        raise EmptyInputError("no judgments")
-    hits = 0
-    for judgment, truth in zip(judgments, chosen_is):
-        truth_verdict = Verdict(truth) if not isinstance(truth, Verdict) else truth
-        if judgment.verdict is truth_verdict:
-            hits += 1
-    return hits / len(judgments)
+    if len(verdicts) != len(chosen_is):
+        raise LengthMismatchError(f"{len(verdicts)} verdicts vs {len(chosen_is)} truths")
+    if not verdicts:
+        raise EmptyInputError("no verdicts")
+    hits = sum(1 for verdict, truth in zip(verdicts, chosen_is) if verdict is Verdict(truth))
+    return hits / len(verdicts)
 
 
 class OrderBiasResult(NamedTuple):

@@ -73,17 +73,11 @@ def metric_by_name(name: str) -> EvaluationMetric:
     raise KeyError(f"unknown metric: {name!r}")
 
 
-class SourceKind(str, Enum):
-    RETRIEVED_CHUNK = "RetrievedChunk"
-    DOCUMENT = "Document"
-
-
 class ContextDocument(NamedTuple):
     """A piece of source text citations are checked against."""
 
     body: str
     context_id: str | None = None
-    source_kind: SourceKind = SourceKind.DOCUMENT
 
 
 class CitationMode(str, Enum):
@@ -231,18 +225,3 @@ class Verdict(str, Enum):
     A = "A"
     B = "B"
     UNPARSEABLE = "Unparseable"
-
-
-class PresentationOrder(str, Enum):
-    AB = "AB"
-    BA = "BA"
-
-
-class PairwiseJudgment(NamedTuple):
-    """One judged A/B comparison, in presented order."""
-
-    instruction: str
-    response_a: str
-    response_b: str
-    verdict: Verdict
-    presentation_order: PresentationOrder = PresentationOrder.AB

@@ -8,7 +8,6 @@ templates' JSON format blocks are never mistaken for markers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -79,27 +78,14 @@ class TemplateSet:
 _DEFAULT_TEMPLATES = TemplateSet()
 
 
-@dataclass(frozen=True)
-class PromptText:
-    """A fully instantiated prompt; no unfilled slot markers remain."""
-
-    text: str
-    template_id: TemplateId
-    slots_filled: dict[str, str] = field(default_factory=dict, compare=False, repr=False)
-
-    def __str__(self) -> str:
-        return self.text
-
-
-def _fill(template: str, slots: dict[str, str], template_id: TemplateId) -> PromptText:
+def _fill(template: str, slots: dict[str, str], template_id: TemplateId) -> str:
     markers = set(_SLOT_RE.findall(template))
     unfilled = markers - slots.keys()
     if unfilled:
         raise TemplateError(f"unknown slots {sorted(unfilled)} in the {template_id.value} template")
     # re.sub never rescans replacement text, so slot values containing
     # brace-delimited words cannot smuggle in new markers.
-    text = _SLOT_RE.sub(lambda m: slots[m.group(1)], template)
-    return PromptText(text=text, template_id=template_id, slots_filled=dict(slots))
+    return _SLOT_RE.sub(lambda m: slots[m.group(1)], template)
 
 
 def _require_text(name: str, value: str) -> str:
@@ -130,7 +116,7 @@ def build_quality_prompt(
     task_prompt: str,
     generation: str,
     templates: TemplateSet | None = None,
-) -> PromptText:
+) -> str:
     """Rate/explain/cite prompt for one content-quality metric."""
     templates = templates or _DEFAULT_TEMPLATES
     slots = {
@@ -148,7 +134,7 @@ def build_rag_cite_prompt(
     answer: str,
     mode: CitationMode,
     templates: TemplateSet | None = None,
-) -> PromptText:
+) -> str:
     """Citation prompt over retrieved chunks; steps vary with the mode."""
     templates = templates or _DEFAULT_TEMPLATES
     slots = {
@@ -163,7 +149,7 @@ def build_pointwise_prompt(
     query_with_context: str,
     answer: str,
     templates: TemplateSet | None = None,
-) -> PromptText:
+) -> str:
     """Single-metric Yes/No rating prompt."""
     templates = templates or _DEFAULT_TEMPLATES
     slots = {
@@ -181,7 +167,7 @@ def build_pairwise_prompt(
     output_a: str,
     output_b: str,
     templates: TemplateSet | None = None,
-) -> PromptText:
+) -> str:
     """A/B comparison prompt; the judge must answer with the output label."""
     templates = templates or _DEFAULT_TEMPLATES
     slots = {

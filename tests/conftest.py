@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from rec_eval import ContextDocument, SourceKind
+from rec_eval import ContextDocument
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -46,10 +46,6 @@ def photo_answer() -> str:
 @pytest.fixture
 def photo_chunks() -> list[ContextDocument]:
     return [
-        ContextDocument(
-            body=item["body"],
-            context_id=item["context_id"],
-            source_kind=SourceKind.RETRIEVED_CHUNK,
-        )
+        ContextDocument(body=item["body"], context_id=item["context_id"])
         for item in fixture_json("photosynthesis_chunks.json")
     ]

@@ -22,9 +22,7 @@ from rec_eval import (
     GoldCitationSet,
     MatchPolicy,
     MockBackend,
-    PairwiseJudgment,
     PipelineConfig,
-    PresentationOrder,
     SourceRecord,
     TaskType,
     Verdict,
@@ -405,38 +403,20 @@ def test_criterion_5_pairwise_order_bias_extremes():
                 requests.append(CompletionRequest(prompt=build_pairwise_prompt(instruction, rejected, chosen)))
             slots = gateway.complete_batch(requests, parallelism=8)
             verdicts = [parse_pairwise_verdict(s.text) for s in slots]
-            ab, ba = verdicts[0::2], verdicts[1::2]
-            judgments = []
-            truths = []
-            for (instruction, chosen, rejected), v_ab, v_ba in zip(pairs, ab, ba):
-                judgments.append(
-                    PairwiseJudgment(
-                        instruction=instruction, response_a=chosen,
-                        response_b=rejected, verdict=v_ab,
-                    )
-                )
-                truths.append(Verdict.A)
-                judgments.append(
-                    PairwiseJudgment(
-                        instruction=instruction, response_a=rejected,
-                        response_b=chosen, verdict=v_ba,
-                        presentation_order=PresentationOrder.BA,
-                    )
-                )
-                truths.append(Verdict.B)
-            return judgments, truths, list(zip(ab, ba))
+            truths = [Verdict.A, Verdict.B] * len(pairs)  # chosen is shown first, then second
+            return verdicts, truths, list(zip(verdicts[0::2], verdicts[1::2]))
 
         biased = {"rules": [], "default": "Output (a)"}
-        judgments, truths, verdict_pairs = judge_all(biased)
+        verdicts, truths, verdict_pairs = judge_all(biased)
         bias = order_bias(verdict_pairs)
         assert bias.rate == 1.0
         assert bias.pairs_counted == 50 and bias.pairs_excluded == 0
 
         oracle = {"rules": [{"choose_output_containing": "GOOD"}]}
-        judgments, truths, verdict_pairs = judge_all(oracle)
+        verdicts, truths, verdict_pairs = judge_all(oracle)
         bias = order_bias(verdict_pairs)
         assert bias.rate == 0.0
-        assert win_rate(judgments, truths) == 1.0
+        assert win_rate(verdicts, truths) == 1.0
 
         elapsed = time.perf_counter() - t0
         assert elapsed < 2.0, f"took {elapsed:.3f}s"

@@ -6,7 +6,6 @@ from rec_eval import (
     CitationMode,
     ContextDocument,
     MatchPolicy,
-    SourceKind,
     SourceRecord,
     TaskType,
     check_reply,
@@ -46,7 +45,7 @@ def _rag(context_id, snippet, claim=None):
 
 def _chunks():
     return [
-        ContextDocument(body=body, context_id=cid, source_kind=SourceKind.RETRIEVED_CHUNK)
+        ContextDocument(body=body, context_id=cid)
         for cid, body in CHUNKS.items()
     ]
 

@@ -230,6 +230,15 @@ def test_validate_all_good_exits_zero(tmp_path, capsys):
     assert main(["validate", "--records", str(records), "--contexts", str(contexts)]) == 0
 
 
+def test_validate_reads_an_integer_context_id_as_its_decimal_text(tmp_path, capsys):
+    contexts = tmp_path / "contexts.jsonl"
+    contexts.write_text(json.dumps({"context_id": 7, "body": CTX}) + "\n", encoding="utf-8")
+    records = tmp_path / "records.jsonl"
+    good = {"kind": "quality", "context_id": "7", "raw": json.dumps(GOOD_REPLY)}
+    records.write_text(json.dumps(good) + "\n", encoding="utf-8")
+    assert main(["validate", "--records", str(records), "--contexts", str(contexts)]) == 0
+
+
 def test_validate_reports_each_record_at_its_line_in_the_file(tmp_path, capsys):
     contexts = tmp_path / "contexts.jsonl"
     contexts.write_text(json.dumps({"context_id": "c1", "body": CTX}) + "\n", encoding="utf-8")

@@ -186,6 +186,12 @@ def _render(d, chunks):
     ("chunks.jsonl", [dict(A, body=" ")], "line 1: a chunk's context_id and body must be non-empty"),
     ("chunks.jsonl", [dict(A, context_id="")], "line 1: a chunk's context_id and body must be non-empty"),
     ("chunks.jsonl", [A, "{not json"], "BadJson at line 2"),
+    ("chunks.json", [dict(A, body=None)], "chunk 1: a chunk's body must be a string and its context_id"),
+    ("chunks.jsonl", [dict(A, body=["Cats purr."])], "line 1: a chunk's body must be a string"),
+    ("chunks.json", [A, dict(B, context_id=None)], "chunk 2: a chunk's body must be a string and its context_id"),
+    ("chunks.jsonl", [dict(A, context_id=True)], "line 1: a chunk's body must be a string and its context_id"),
+    ("chunks.json", [], ": no chunk in the file"),
+    ("chunks.jsonl", [None, None], ": no chunk in the file"),
 ])
 def test_a_bad_chunk_is_a_usage_error_naming_the_file_and_chunk(workdir, capsys, command, name, chunks, message):
     path = workdir / name
@@ -207,4 +213,34 @@ def test_a_judge_pair_field_that_is_not_a_non_empty_string_is_a_usage_error(work
     assert main(_judge(workdir)) == 1
     err = capsys.readouterr().err
     assert f"usage error: {workdir / 'pairs.jsonl'} line 1: {key} must be a non-empty string" in err
+    assert "Traceback" not in err
+
+
+def _validate(d):
+    (d / "records.jsonl").write_text(
+        json.dumps({"kind": "quality", "context_id": "a", "raw": json.dumps(REPLY)}) + "\n", encoding="utf-8"
+    )
+    return ["validate", "--records", str(d / "records.jsonl"), "--contexts", str(d / "contexts.jsonl")]
+
+
+def _score(d):
+    (d / "pred.jsonl").write_text(json.dumps({"context_ref": "a", "gold": []}) + "\n", encoding="utf-8")
+    return ["score", "--pred", str(d / "pred.jsonl"), "--contexts", str(d / "contexts.jsonl")]
+
+
+@pytest.mark.parametrize("command", [_validate, _score])
+@pytest.mark.parametrize("contexts, message", [
+    ([{"context_id": "a", "body": None}], "line 1: a context's body must be a string and its context_id"),
+    ([{"context_id": None, "body": CTX}], "line 1: a context's body must be a string and its context_id"),
+    ([{"context_id": False, "body": CTX}], "line 1: a context's body must be a string and its context_id"),
+    ([{"context_id": "a", "body": CTX}, {"context_id": "a", "body": "Other."}], "line 2: duplicate context_id 'a'"),
+    ([{"context_id": "a", "body": " "}], "line 1: a context's context_id and body must be non-empty"),
+    ([], ": no context in the file"),
+])
+def test_a_bad_context_is_a_usage_error_naming_the_file_and_line(workdir, capsys, command, contexts, message):
+    path = workdir / "contexts.jsonl"
+    path.write_text("".join(json.dumps(c) + "\n" for c in contexts), encoding="utf-8")
+    assert main(command(workdir)) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: {path}" in err and message in err
     assert "Traceback" not in err

@@ -8,7 +8,6 @@ from rec_eval import (
     HaluGoldError,
     LengthMismatchError,
     PRF,
-    PairwiseJudgment,
     Verdict,
     binary_accuracy,
     citation_prf,
@@ -124,22 +123,16 @@ def test_parse_pairwise_verdict(reply, expected):
     assert parse_pairwise_verdict(reply) is expected
 
 
-def _judgment(verdict):
-    return PairwiseJudgment(
-        instruction="i", response_a="a", response_b="b", verdict=verdict
-    )
-
-
 def test_win_rate_counts_unparseable_as_loss():
-    judgments = [_judgment(Verdict.A), _judgment(Verdict.B), _judgment(Verdict.UNPARSEABLE)]
+    verdicts = [Verdict.A, Verdict.B, Verdict.UNPARSEABLE]
     truths = [Verdict.A, Verdict.A, Verdict.A]
-    assert win_rate(judgments, truths) == pytest.approx(1 / 3)
+    assert win_rate(verdicts, truths) == pytest.approx(1 / 3)
 
 
 def test_win_rate_accepts_verdict_lists():
-    assert win_rate([_judgment(Verdict.B)], ["B"]) == 1.0
+    assert win_rate([Verdict.B], ["B"]) == 1.0
     with pytest.raises(LengthMismatchError):
-        win_rate([_judgment(Verdict.A)], [])
+        win_rate([Verdict.A], [])
 
 
 def test_order_bias_extremes():

@@ -10,7 +10,6 @@ from rec_eval import (
     DuplicateContextIdError,
     MatchPolicy,
     SnippetNotFoundError,
-    SourceKind,
     UnknownContextIdError,
     normalize,
     parse_match_policy,
@@ -142,8 +141,8 @@ def test_verify_rag_unknown_id_raises(photo_chunks, photo_answer):
 
 def test_verify_rag_duplicate_chunk_ids_rejected(photo_answer):
     chunks = [
-        ContextDocument(body="a", context_id="1", source_kind=SourceKind.RETRIEVED_CHUNK),
-        ContextDocument(body="b", context_id="1", source_kind=SourceKind.RETRIEVED_CHUNK),
+        ContextDocument(body="a", context_id="1"),
+        ContextDocument(body="b", context_id="1"),
     ]
     out = parse_rag_output('{"citations": [{"context_id": "1"}]}', CitationMode.POST_FIX)
     with pytest.raises(DuplicateContextIdError):
