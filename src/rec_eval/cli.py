@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterator
 
 from . import schema_io
 from .datagen import DEFAULT_MAX_TOKENS, PipelineConfig, SourceRecord, generate
-from .errors import ClaimNotFoundError, RecError, SourceRecordError, TemplateError, UsageError
+from .errors import ClaimNotFoundError, RecError, TemplateError, UsageError
 from .gateway import (
     CompletionRequest,
     Gateway,
@@ -52,6 +52,7 @@ from .prompts import (
     build_pairwise_prompt,
     build_quality_prompt,
     build_rag_cite_prompt,
+    chunk_problem,
 )
 from .render import RenderedText, render_quality, render_rag
 from .verify import MatchPolicy, SourceIndex, check_reply, parse_match_policy
@@ -76,17 +77,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags by default; the contract wants 1.
     def error(self, message: str):
         raise UsageError(message)
-
-
-def _common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file (base_url, model_name, timeout_ms, max_retries, parallelism)")
-    parser.add_argument("--backend", help="backend URL, or mock:SCRIPT.json for the scripted mock")
-    parser.add_argument("--model", help="model name sent to an HTTP backend")
-    parser.add_argument("--seed", type=int, help="seed passed through to the backend")
-    parser.add_argument("--policy", default="normalized", choices=["strict", "normalized"], help="verbatim match policy")
-    parser.add_argument("--format", dest="fmt", default="text", choices=["text", "json"], help="stdout format for rendered output")
-    parser.add_argument("--template-dir", help="directory of prompt template overrides")
-    parser.add_argument("--audit-log", help="JSONL audit log of gateway calls")
 
 
 def _read_text(path: str) -> str:
@@ -202,28 +192,22 @@ def _lookup(parse: Callable[[str], Any], name: str) -> Any:
 def _documents(path: str, items: list[tuple[str, Any]], noun: str) -> list[ContextDocument]:
     """The {context_id, body} records of a chunks or contexts file, checked.
 
-    body must be a string and context_id a string or an integer, neither
-    blank; ids are unique, and a file without records is bad input.
+    Each record passes `chunk_problem`; ids are unique, and a file without
+    records is bad input.
     """
     if not items:
         raise UsageError(f"{path}: no {noun} in the file")
     documents: list[ContextDocument] = []
     seen: set[str] = set()
     for where, item in items:
-        if not isinstance(item, dict) or "context_id" not in item or "body" not in item:
-            raise UsageError(f"{path} {where}: every {noun} needs context_id and body")
-        body, context_id = item["body"], item["context_id"]
-        if not isinstance(body, str) or isinstance(context_id, bool) or not isinstance(context_id, (str, int)):
-            raise UsageError(
-                f"{path} {where}: a {noun}'s body must be a string and its context_id a string or an integer"
-            )
-        context_id = str(context_id)
-        if not body.strip() or not context_id.strip():
-            raise UsageError(f"{path} {where}: a {noun}'s context_id and body must be non-empty")
+        problem = chunk_problem(item, noun)
+        if problem:
+            raise UsageError(f"{path} {where}: {problem}")
+        context_id = str(item["context_id"])
         if context_id in seen:
             raise UsageError(f"{path} {where}: duplicate context_id {context_id!r}")
         seen.add(context_id)
-        documents.append(ContextDocument(body=body, context_id=context_id))
+        documents.append(ContextDocument(body=item["body"], context_id=context_id))
     return documents
 
 
@@ -437,10 +421,19 @@ def _gold_from_record(rec: dict[str, Any]) -> GoldCitationSet | None:
     return None
 
 
+def _score_records(path: str) -> list[tuple[int, Any]]:
+    """A --pred or --gold file, every line of it a JSON object."""
+    records = _read_jsonl(path)
+    for i, rec in records:
+        if not isinstance(rec, dict):
+            raise UsageError(f"{path} line {i}: every score record must be a JSON object")
+    return records
+
+
 def cmd_score(args: argparse.Namespace) -> int:
-    preds = _read_jsonl(args.pred)
+    preds = _score_records(args.pred)
     if args.gold:
-        golds = _read_jsonl(args.gold)
+        golds = _score_records(args.gold)
         if len(golds) != len(preds):
             raise UsageError(f"--pred has {len(preds)} lines but --gold has {len(golds)}")
         preds = [(i, {**p, **g}) for (i, p), (_, g) in zip(preds, golds)]
@@ -452,8 +445,6 @@ def cmd_score(args: argparse.Namespace) -> int:
     excluded_halu = 0
     missing_context = 0
     for i, rec in preds:
-        if not isinstance(rec, dict):
-            raise UsageError(f"{args.pred} line {i}: every score record must be a JSON object")
         for key in ("predicted_citations", "gold", "gold_a", "gold_b"):
             value = rec.get(key)
             if value is not None and not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
@@ -594,12 +585,7 @@ def cmd_datagen(args: argparse.Namespace) -> int:
             max_tokens=args.max_tokens,
             seed=args.seed,
         )
-        try:
-            out_records, stats = generate(
-                records, metrics, gateway, _policy(args), pipeline, _templates(args)
-            )
-        except SourceRecordError as exc:
-            raise UsageError(f"{args.input}: {exc}") from exc
+        out_records, stats = generate(records, metrics, gateway, _policy(args), pipeline, _templates(args))
 
     emit = out_records if args.keep_rejected else [r for r in out_records if r.filter_status.value == "Kept"]
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -623,56 +609,64 @@ def cmd_datagen(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> _Parser:
+    # Each group of shared flags is declared once and given only to the
+    # subcommands whose handler reads it.
+    model_call = argparse.ArgumentParser(add_help=False)
+    model_call.add_argument("--config", help="JSON config file (base_url, model_name, timeout_ms, max_retries, parallelism)")
+    model_call.add_argument("--backend", help="backend URL, or mock:SCRIPT.json for the scripted mock")
+    model_call.add_argument("--model", help="model name sent to an HTTP backend")
+    model_call.add_argument("--seed", type=int, help="seed passed through to the backend")
+    model_call.add_argument("--template-dir", help="directory of prompt template overrides")
+    model_call.add_argument("--audit-log", help="JSONL audit log of gateway calls")
+    policy = argparse.ArgumentParser(add_help=False)
+    policy.add_argument("--policy", default="normalized", choices=["strict", "normalized"], help="verbatim match policy")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", dest="fmt", default="text", choices=["text", "json"], help="stdout format for rendered output")
+
     parser = _Parser(prog="rec", description="Rate/explain/cite evaluation pipeline")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command", parser_class=_Parser)
 
-    p = sub.add_parser("evaluate", help="run a content-quality evaluation with citations")
+    p = sub.add_parser("evaluate", parents=[model_call, policy, fmt], help="run a content-quality evaluation with citations")
     p.add_argument("--context", required=True, help="file with the task prompt shown to the evaluated model")
     p.add_argument("--generation", required=True, help="file with the evaluated model's output")
     p.add_argument("--metric", required=True, help="faithfulness | instruction-following | coherence | completeness")
     p.add_argument("--mode", default="postfix-snippet", help="postfix-snippet | inline-snippet")
     p.add_argument("--out", help="JSON sidecar with raw reply, verification, and rendering")
-    _common_options(p)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("cite", help="generate citations for a retrieval-augmented answer")
+    p = sub.add_parser("cite", parents=[model_call, policy, fmt], help="generate citations for a retrieval-augmented answer")
     p.add_argument("--chunks", required=True, help="retrieved chunks (JSON array or JSONL of {context_id, body})")
     p.add_argument("--answer", required=True, help="file with the generated answer to cite")
     p.add_argument("--mode", default="inline", help="postfix | inline | postfix-snippet | inline-snippet")
     p.add_argument("--out", help="JSON sidecar with raw reply, verification, and rendering")
-    _common_options(p)
     p.set_defaults(func=cmd_cite)
 
-    p = sub.add_parser("validate", help="validate stored evaluator replies against contexts")
+    p = sub.add_parser("validate", parents=[policy], help="validate stored evaluator replies against contexts")
     p.add_argument("--records", required=True, help="JSONL of replies to check")
     p.add_argument("--contexts", required=True, help="JSONL of {context_id, body}")
-    _common_options(p)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("render", help="render a stored reply without calling a backend")
+    p = sub.add_parser("render", parents=[fmt], help="render a stored reply without calling a backend")
     p.add_argument("--raw", required=True, help="file with the raw evaluator reply")
     p.add_argument("--kind", required=True, choices=["quality", "rag"])
     p.add_argument("--mode", required=True)
     p.add_argument("--answer", help="answer file (rag only)")
     p.add_argument("--chunks", help="chunks file (rag only, for id warnings)")
-    _common_options(p)
     p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("score", help="score predictions against gold annotations")
+    p = sub.add_parser("score", parents=[policy], help="score predictions against gold annotations")
     p.add_argument("--pred", required=True, help="JSONL of predictions (may carry gold fields inline)")
     p.add_argument("--gold", help="JSONL of gold fields, merged with --pred by line")
     p.add_argument("--contexts", help="JSONL of {context_id, body} for sentence snapping")
-    _common_options(p)
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("judge", help="pairwise-judge preference pairs")
+    p = sub.add_parser("judge", parents=[model_call], help="pairwise-judge preference pairs")
     p.add_argument("--pairs", required=True, help="JSONL of {instruction, chosen, rejected}")
     p.add_argument("--both-orders", action="store_true", help="judge each pair in both presentation orders")
     p.add_argument("--parallelism", type=_parallelism, help="concurrent judge calls")
-    _common_options(p)
     p.set_defaults(func=cmd_judge)
 
-    p = sub.add_parser("datagen", help="generate and filter synthetic evaluation data")
+    p = sub.add_parser("datagen", parents=[model_call, policy], help="generate and filter synthetic evaluation data")
     p.add_argument("--input", required=True, help="JSONL of source records with an inputs object")
     p.add_argument("--task", required=True, choices=["cite-quality", "cite-rag", "pointwise"])
     p.add_argument("--metrics", help="comma list, e.g. f,if,coh,comp (pointwise fan-out)")
@@ -681,7 +675,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-tokens", type=_max_tokens, default=DEFAULT_MAX_TOKENS, help="inclusive prompt+completion budget")
     p.add_argument("--parallelism", type=_parallelism, help="concurrent generation calls")
     p.add_argument("--keep-rejected", action="store_true", help="write rejected records too, with their status")
-    _common_options(p)
     p.set_defaults(func=cmd_datagen)
 
     return parser

@@ -13,10 +13,10 @@ from __future__ import annotations
 import logging
 import threading
 from dataclasses import asdict, dataclass, field
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import schema_io
-from .errors import DuplicateContextIdError, EmptyRequiredError, SourceRecordError
+from .errors import SourceRecordError
 from .gateway import CancelledError, CompletionRequest, Gateway, GatewayError
 from .model import (
     CitationMode,
@@ -34,6 +34,7 @@ from .prompts import (
     build_pointwise_prompt,
     build_quality_prompt,
     build_rag_cite_prompt,
+    chunk_problem,
 )
 from .tokens import estimate_tokens
 from .verify import MatchPolicy, check_reply
@@ -47,6 +48,32 @@ DEFAULT_MAX_TOKENS = 6144
 
 #: Completion length cap sent with every generation request.
 MAX_OUTPUT_TOKENS = 2048
+
+
+#: The text inputs of each record kind, which must be non-blank strings.
+_TEXT_SLOTS = {"pointwise": ("query_with_context", "answer"), "rag": ("answer",), "quality": ("task_prompt", "generation")}
+
+
+def _names(lookup: Callable[[str], Any], value: Any) -> bool:
+    """True when `value` is a string that the catalog `lookup` knows."""
+    try:
+        return isinstance(value, str) and lookup(value) is not None
+    except KeyError:
+        return False
+
+
+def _chunk_violations(chunks: list[Any]) -> list[str]:
+    """Each chunk that breaks `chunk_problem`'s rule, by position, and any repeated id."""
+    out, ids = [], []
+    for n, chunk in enumerate(chunks, start=1):
+        problem = chunk_problem(chunk)
+        if problem:
+            out.append(f"chunk {n}: {problem}")
+        else:
+            ids.append(str(chunk["context_id"]))
+    if len(set(ids)) < len(ids):
+        out.append("chunk context_ids must be unique")
+    return out
 
 
 @dataclass(frozen=True)
@@ -76,24 +103,28 @@ class SourceRecord:
         return parse_citation_mode(self.inputs.get("mode", "inline"))
 
     def violations(self) -> list[str]:
+        """Why no prompt can be built from this record; empty when one can."""
         out = []
         if not self.source_dataset:
             out.append("source_dataset must be non-empty")
         kind = self.kind
-        if kind == "pointwise":
-            for slot in ("query_with_context", "answer"):
-                if not str(self.inputs.get(slot, "")).strip():
-                    out.append(f"pointwise record needs a non-empty {slot!r} input")
-        elif kind == "rag":
+        for slot in _TEXT_SLOTS[kind]:
+            value = self.inputs.get(slot)
+            if not isinstance(value, str) or not value.strip():
+                out.append(f"{kind} record needs a non-empty {slot!r} string input")
+        if kind == "rag":
             chunks = self.inputs.get("chunks")
             if not isinstance(chunks, list) or not chunks:
-                out.append("retrieval citation record needs a non-empty 'chunks' list")
-            if not str(self.inputs.get("answer", "")).strip():
-                out.append("retrieval citation record needs a non-empty 'answer' input")
-        else:
-            for slot in ("task_prompt", "generation"):
-                if not str(self.inputs.get(slot, "")).strip():
-                    out.append(f"citation record needs a non-empty {slot!r} input")
+                out.append("rag record needs a non-empty 'chunks' list")
+            else:
+                out += _chunk_violations(chunks)
+            mode = self.inputs.get("mode", "inline")
+            if not _names(parse_citation_mode, mode):
+                out.append(f"unknown citation mode {mode!r}")
+        elif kind == "quality":
+            metric = self.inputs.get("metric")
+            if metric and not _names(metric_by_name, metric):
+                out.append(f"unknown metric {metric!r}")
         return out
 
     def chunk_documents(self) -> list[ContextDocument]:
@@ -230,10 +261,6 @@ _BUCKETS = {
     FilterStatus.REJECTED_TOO_LONG: "rejected_too_long",
 }
 
-#: Raised building a malformed record's prompts: bad inputs, names or chunks.
-_MALFORMED = (KeyError, TypeError, AttributeError, EmptyRequiredError, DuplicateContextIdError)
-
-
 def generate(
     records: Sequence[SourceRecord],
     metrics: Sequence[EvaluationMetric],
@@ -248,21 +275,17 @@ def generate(
     Returns every produced record (kept and rejected) in deterministic job
     order plus the stats. Gateway failures become the transport bucket with
     no record; cancelled items are counted outside the conservation total.
-    A record that fails its checks or whose prompts cannot be built raises
-    SourceRecordError before any backend call.
+    A record that fails its checks raises SourceRecordError before any
+    backend call.
     """
     config = config or PipelineConfig()
     jobs: list[tuple[SourceRecord, EvaluationMetric | None, str]] = []
     for task in records:
-        bad = f"bad source record from {task.source_dataset!r}"
         problems = task.violations()
         if problems:
-            raise SourceRecordError(f"{bad}: {'; '.join(problems)}")
-        try:
-            for metric in _job_metrics(task, metrics):
-                jobs.append((task, metric, _build_prompt(task, metric, templates)))
-        except _MALFORMED as exc:
-            raise SourceRecordError(f"{bad}: {type(exc).__name__}: {exc}") from exc
+            raise SourceRecordError(f"bad source record from {task.source_dataset!r}: {'; '.join(problems)}")
+        for metric in _job_metrics(task, metrics):
+            jobs.append((task, metric, _build_prompt(task, metric, templates)))
 
     requests = [
         CompletionRequest(

@@ -44,7 +44,7 @@ class EmptyInputError(RecError):
 
 
 class SourceRecordError(RecError):
-    """A datagen source record is malformed: missing inputs, or prompts that cannot be built."""
+    """A datagen source record is malformed: inputs that no prompt can be built from."""
 
 
 class TemplateError(RecError):

@@ -11,9 +11,10 @@ import re
 from enum import Enum
 from importlib import resources
 from pathlib import Path
+from typing import Any
 
 from .errors import DuplicateContextIdError, EmptyRequiredError, TemplateError
-from .model import CitationMode, ContextDocument, EvaluationMetric
+from .model import NO_SUPPORT_ID, CitationMode, ContextDocument, EvaluationMetric
 
 _SLOT_RE = re.compile(r"\{([a-z][a-z0-9_]*)\}")
 
@@ -92,6 +93,25 @@ def _require_text(name: str, value: str) -> str:
     if not value or not value.strip():
         raise EmptyRequiredError(f"{name} must be non-empty")
     return value
+
+
+def chunk_problem(item: Any, noun: str = "chunk") -> str | None:
+    """Why `item` is not a usable {context_id, body} record, or None when it is.
+
+    body must be a string and context_id a string or an integer, neither
+    blank, and the id may not be NO_SUPPORT_ID, which a citation names when
+    no chunk supports its claim.
+    """
+    if not isinstance(item, dict) or "context_id" not in item or "body" not in item:
+        return f"every {noun} needs context_id and body"
+    body, context_id = item["body"], item["context_id"]
+    if not isinstance(body, str) or isinstance(context_id, bool) or not isinstance(context_id, (str, int)):
+        return f"a {noun}'s body must be a string and its context_id a string or an integer"
+    if not body.strip() or not str(context_id).strip():
+        return f"a {noun}'s context_id and body must be non-empty"
+    if str(context_id) == NO_SUPPORT_ID:
+        return f"a {noun}'s context_id may not be {NO_SUPPORT_ID!r}, which marks a claim without support"
+    return None
 
 
 def render_chunks_block(chunks: list[ContextDocument]) -> str:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rec_eval import cli
 from rec_eval.cli import main
 from conftest import fixture_text
 
@@ -37,8 +38,42 @@ def test_no_command_is_usage_error(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-def test_unknown_flag_is_usage_error(capsys):
-    assert main(["evaluate", "--nonsense"]) == 1
+MODEL_CALL_FLAGS = [
+    ("--config", "c.json"), ("--backend", "mock:s.json"), ("--model", "m"),
+    ("--seed", "1"), ("--template-dir", "t"), ("--audit-log", "a.jsonl"),
+]
+REQUIRED = {
+    "evaluate": ["--context", "c.txt", "--generation", "g.txt", "--metric", "f"],
+    "validate": ["--records", "r.jsonl", "--contexts", "c.jsonl"],
+    "render": ["--raw", "r.json", "--kind", "quality", "--mode", "postfix-snippet"],
+    "score": ["--pred", "p.jsonl"],
+    "judge": ["--pairs", "p.jsonl"],
+    "datagen": ["--input", "i.jsonl", "--task", "pointwise", "--out", "o.jsonl"],
+}
+# Each subcommand takes only the shared flags its handler reads.
+UNREAD_FLAGS = (
+    [("evaluate", ("--nonsense",))]
+    + [(command, flag) for command in ("validate", "render", "score") for flag in MODEL_CALL_FLAGS]
+    + [(command, ("--format", "json")) for command in ("validate", "score", "judge", "datagen")]
+    + [(command, ("--policy", "strict")) for command in ("render", "judge")]
+)
+
+
+@pytest.mark.parametrize(
+    "command, flag", UNREAD_FLAGS, ids=[f"{command}{flag[0]}" for command, flag in UNREAD_FLAGS]
+)
+def test_unknown_flag_is_usage_error(capsys, command, flag):
+    assert main([command, *REQUIRED[command], *flag]) == 1
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+def test_main_keeps_no_flag_values_between_calls(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_score", lambda args: seen.append(vars(args)) or 0)
+    assert main(["score", "--pred", "a.jsonl", "--gold", "g.jsonl", "--contexts", "c.jsonl", "--policy", "strict"]) == 0
+    assert main(["score", "--pred", "b.jsonl"]) == 0
+    second = {key: value for key, value in seen[1].items() if key != "func"}
+    assert second == {"command": "score", "pred": "b.jsonl", "gold": None, "contexts": None, "policy": "normalized"}
 
 
 def test_help_exits_zero(capsys):

@@ -76,3 +76,18 @@ def test_contexts_name_the_line_in_the_file_past_blank_lines(tmp_path, capsys):
     )
     assert main(["score", "--pred", str(pred), "--contexts", str(ctx)]) == 1
     assert f"{ctx} line 3: every context needs context_id and body" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pred_lines, gold_lines, bad", [
+    (['{"gold": []}', "5"], ["{}", "{}"], ("pred", 2)),
+    (['{"gold": []}', "{}"], ["[1]", "{}"], ("gold", 1)),
+], ids=["pred-number", "gold-list"])
+def test_score_with_gold_names_the_line_that_is_not_an_object(tmp_path, capsys, pred_lines, gold_lines, bad):
+    paths = {"pred": tmp_path / "pred.jsonl", "gold": tmp_path / "gold.jsonl"}
+    paths["pred"].write_text("\n".join(pred_lines) + "\n", encoding="utf-8")
+    paths["gold"].write_text("\n".join(gold_lines) + "\n", encoding="utf-8")
+    assert main(["score", "--pred", str(paths["pred"]), "--gold", str(paths["gold"])]) == 1
+    err = capsys.readouterr().err
+    name, line = bad
+    assert f"usage error: {paths[name]} line {line}: every score record must be a JSON object" in err
+    assert "Traceback" not in err

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from rec_eval import NO_SUPPORT_ID
 from rec_eval.cli import build_parser, main
 from rec_eval.gateway import MockBackend
 
@@ -243,4 +244,23 @@ def test_a_bad_context_is_a_usage_error_naming_the_file_and_line(workdir, capsys
     assert main(command(workdir)) == 1
     err = capsys.readouterr().err
     assert f"usage error: {path}" in err and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, name, noun", [
+    (_cite, "chunks.json", "chunk 2: a chunk"), (_render, "chunks.jsonl", "line 2: a chunk"),
+    (lambda d, _: _validate(d), "contexts.jsonl", "line 2: a context"),
+    (lambda d, _: _score(d), "contexts.jsonl", "line 2: a context"),
+], ids=["cite", "render", "validate", "score"])
+def test_the_no_support_id_is_no_chunk_or_context_id(workdir, capsys, command, name, noun):
+    # A citation to "None" marks a claim that no chunk supports.
+    documents = [{"context_id": "a", "body": CTX}, {"context_id": NO_SUPPORT_ID, "body": "Cats purr."}]
+    path = workdir / name
+    if name.endswith(".json"):
+        path.write_text(json.dumps(documents), encoding="utf-8")
+    else:
+        path.write_text("".join(json.dumps(d) + "\n" for d in documents), encoding="utf-8")
+    assert main(command(workdir, name)) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: {path} {noun}'s context_id may not be 'None'" in err
     assert "Traceback" not in err

@@ -1,6 +1,7 @@
 """How generate fans a source record out into jobs, and how malformed records fail."""
 
 import json
+import re
 
 import pytest
 
@@ -98,3 +99,41 @@ def test_datagen_task_must_match_record_kind(task, inputs, tmp_path, capsys):
     ])
     assert code == 1
     assert f"line 1: {task} records" in capsys.readouterr().err
+
+
+GOOD_LINE = {"cite-rag": RAG, "cite-quality": QUALITY, "pointwise": POINTWISE}
+NAMED_PROBLEMS = {
+    "null-chunk-id": ("cite-rag", {"chunks": [{"context_id": None, "body": "Cats purr."}], "answer": "Cats purr."},
+                      "chunk 1: a chunk's body must be a string and its context_id a string or an integer"),
+    "float-chunk-id": ("cite-rag", {"chunks": [{"context_id": 1.5, "body": "Cats purr."}], "answer": "Cats purr."},
+                       "chunk 1: a chunk's body must be a string and its context_id a string or an integer"),
+    "no-support-chunk-id": ("cite-rag", {"chunks": [{"context_id": "None", "body": "Cats purr."}], "answer": "Cats purr."},
+                            "chunk 1: a chunk's context_id may not be 'None'"),
+    "null-generation": ("cite-quality", {**QUALITY, "generation": None}, "quality record needs a non-empty 'generation' string input"),
+    "number-answer": ("pointwise", {**POINTWISE, "answer": 5}, "pointwise record needs a non-empty 'answer' string input"),
+    "unknown-mode": ("cite-rag", {**RAG, "mode": "sideways"}, "unknown citation mode 'sideways'"),
+    "number-mode": ("cite-rag", {**RAG, "mode": 5}, "unknown citation mode 5"),
+    "number-metric": ("cite-quality", {**QUALITY, "metric": 5}, "unknown metric 5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_PROBLEMS))
+def test_datagen_names_the_line_and_problem_of_a_bad_record(case, tmp_path, capsys):
+    task, inputs, problem = NAMED_PROBLEMS[case]
+    task_type = TaskType.POINTWISE_EVAL if task == "pointwise" else TaskType.CITATION
+    gateway = _gateway()
+    with pytest.raises(RecError, match=f"bad source record from 'm': .*{re.escape(problem)}"):
+        generate([SourceRecord(source_dataset="m", task_type=task_type, inputs=inputs)], [], gateway)
+    assert gateway.backend.calls == []
+
+    lines = [{"source_dataset": "ok", "inputs": GOOD_LINE[task]}, {"source_dataset": "m", "inputs": inputs}]
+    (tmp_path / "in.jsonl").write_text("".join(json.dumps(line) + "\n" for line in lines))
+    (tmp_path / "script.json").write_text(json.dumps({"default": "x"}))
+    code = main([
+        "datagen", "--input", str(tmp_path / "in.jsonl"), "--task", task,
+        "--out", str(tmp_path / "out.jsonl"), "--backend", f"mock:{tmp_path / 'script.json'}",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"usage error: {tmp_path / 'in.jsonl'} line 2: {problem}" in err
+    assert "Traceback" not in err

@@ -21,7 +21,8 @@ its ``tests/fixtures``. The cases are:
 - ``fixtures/<command>/...``: ``rec`` runs on ``tests/fixtures`` in every
   mode, both match policies and both output formats, with ``--out`` and
   ``--audit-log`` (its lines sorted, each without ``ts`` and ``latency_ms``).
-- ``edge/...``: chunks and contexts files that are malformed or empty.
+- ``edge/...``: chunks, contexts, ``score --gold`` and datagen source files
+  that are malformed or empty.
 - ``library/s<seed>/b<batch>/c<j>``: ``segment_sentences`` spans of each
   context of ``score`` batches 0-1, and the ``MatchResult`` of
   ``verify_snippet`` and the ``snap_to_sentences`` text of every snippet
@@ -316,7 +317,7 @@ def _datagen(work: Path) -> Iterator[tuple[str, Outputs]]:
 
 
 def _edge(work: Path) -> Iterator[tuple[str, Outputs]]:
-    """Chunks and contexts files that are malformed or hold nothing."""
+    """Chunks, contexts, score and datagen source files that are malformed or hold nothing."""
     d = work / "edge"
     answer = str(_write(d / "answer.txt", _fixture("photosynthesis_answer.txt")))
     backend = _script(d / "script.json", json.dumps({"citations": [{"context_id": "1"}]}))
@@ -326,6 +327,7 @@ def _edge(work: Path) -> Iterator[tuple[str, Outputs]]:
         "null-id": [{"context_id": None, "body": "Cats purr."}],
         "bool-id": [{"context_id": True, "body": "Cats purr."}],
         "integer-id": [{"context_id": 1, "body": "Cats purr."}],
+        "none-id": [{"context_id": "None", "body": "Cats purr."}],
         "empty": [],
     }
     for name, chunks in chunk_files.items():
@@ -346,6 +348,7 @@ def _edge(work: Path) -> Iterator[tuple[str, Outputs]]:
         "null-body": [{"context_id": "a", "body": None}],
         "null-id": [{"context_id": None, "body": "Cats purr. Dogs bark."}],
         "integer-id": [{"context_id": 7, "body": "Cats purr. Dogs bark."}],
+        "none-id": [{"context_id": "None", "body": "Cats purr. Dogs bark."}],
         "duplicate-id": [{"context_id": "a", "body": "Cats purr."}, {"context_id": "a", "body": "Cats purr. Dogs bark."}],
         "blank-body": [{"context_id": "a", "body": ""}],
         "empty": [],
@@ -354,6 +357,25 @@ def _edge(work: Path) -> Iterator[tuple[str, Outputs]]:
         path = str(_write(d / f"{name}.jsonl", "".join(json.dumps(c) + "\n" for c in contexts)))
         yield f"edge/validate/{name}", _cli(["validate", "--records", records, "--contexts", path])
         yield f"edge/score/{name}", _cli(["score", "--pred", pred, "--contexts", path])
+    for name, gold in {"gold-object": {}, "gold-not-object": [1]}.items():
+        path = str(_write(d / f"{name}.jsonl", json.dumps(gold) + "\n"))
+        yield f"edge/score/{name}", _cli(["score", "--pred", pred, "--gold", path])
+
+    files = {"out": d / "out.jsonl"}
+    rag = {"chunks": [{"context_id": "1", "body": "Cats purr."}], "answer": "Cats purr."}
+    sources = {
+        "null-chunk-id": ("cite-rag", {**rag, "chunks": [{"context_id": None, "body": "Cats purr."}]}),
+        "float-chunk-id": ("cite-rag", {**rag, "chunks": [{"context_id": 1.5, "body": "Cats purr."}]}),
+        "none-chunk-id": ("cite-rag", {**rag, "chunks": [{"context_id": "None", "body": "Cats purr."}]}),
+        "unknown-mode": ("cite-rag", {**rag, "mode": "sideways"}),
+        "null-generation": ("cite-quality", {"task_prompt": "Cats purr.", "generation": None}),
+        "number-answer": ("pointwise", {"query_with_context": "Cats purr.", "answer": 5}),
+    }
+    backend = _script(d / "datagen.json", json.dumps({"citations": [{"context_id": "None", "claim": "Cats purr."}]}))
+    for name, (task, inputs) in sources.items():
+        source = str(_write(d / "sources.jsonl", json.dumps({"source_dataset": "d", "inputs": inputs}) + "\n"))
+        argv = ["datagen", "--input", source, "--task", task, "--backend", backend, "--out", str(files["out"])]
+        yield f"edge/datagen/{name}", _cli(argv + ["--keep-rejected"], files)
 
 
 # perfbench batches and the library results drawn from them
