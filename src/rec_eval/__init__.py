@@ -3,7 +3,6 @@
 from .datagen import FilterStats, PipelineConfig, SourceRecord, filter_one, generate
 from .errors import (
     ClaimNotFoundError,
-    DuplicateContextIdError,
     EmptyInputError,
     EmptyRequiredError,
     HaluGoldError,
@@ -49,7 +48,6 @@ from .model import (
     NO_SUPPORT_ID,
     CitationMode,
     CitationSnippet,
-    ContextDocument,
     EvaluationMetric,
     FilterStatus,
     MetricName,

@@ -40,7 +40,6 @@ from .metrics import (
 )
 from .model import (
     CitationMode,
-    ContextDocument,
     TaskType,
     Verdict,
     metric_by_name,
@@ -52,7 +51,7 @@ from .prompts import (
     build_pairwise_prompt,
     build_quality_prompt,
     build_rag_cite_prompt,
-    chunk_problem,
+    chunk_map,
 )
 from .render import RenderedText, render_quality, render_rag
 from .verify import MatchPolicy, SourceIndex, check_reply, parse_match_policy
@@ -117,12 +116,15 @@ def _load_config(path: str | None) -> dict[str, Any]:
     return value
 
 
-def _config_int(args: argparse.Namespace, config: dict[str, Any], key: str, default: int) -> int:
+def _config_int(args: argparse.Namespace, config: dict[str, Any], key: str, default: int, minimum: int) -> int:
     value = config.get(key, default)
     try:
-        return int(value)
+        count = int(value)
     except (TypeError, ValueError, OverflowError):
         raise UsageError(f"config {args.config}: {key} must be an integer, not {value!r}") from None
+    if count < minimum:
+        raise UsageError(f"config {args.config}: {key} must be an integer of at least {minimum}, not {value!r}")
+    return count
 
 
 @contextmanager
@@ -139,11 +141,11 @@ def _open_gateway(args: argparse.Namespace, config: dict[str, Any]) -> Iterator[
             raise UsageError(f"cannot load mock script {script}: {exc}") from exc
     else:
         model = args.model or os.environ.get("REC_MODEL_NAME") or config.get("model_name") or "default"
-        backend = HttpBackend(spec, model, timeout_ms=_config_int(args, config, "timeout_ms", 60_000))
+        backend = HttpBackend(spec, model, timeout_ms=_config_int(args, config, "timeout_ms", 60_000, 1))
     try:
         yield Gateway(
             backend,
-            max_retries=_config_int(args, config, "max_retries", 2),
+            max_retries=_config_int(args, config, "max_retries", 2, 0),
             audit_log_path=args.audit_log,
         )
     finally:
@@ -189,29 +191,22 @@ def _lookup(parse: Callable[[str], Any], name: str) -> Any:
         raise UsageError(str(exc)) from exc
 
 
-def _documents(path: str, items: list[tuple[str, Any]], noun: str) -> list[ContextDocument]:
-    """The {context_id, body} records of a chunks or contexts file, checked.
+def _documents(path: str, items: list[tuple[str, Any]], noun: str) -> dict[str, str]:
+    """The {context_id: body} map of a chunks or contexts file's records.
 
-    Each record passes `chunk_problem`; ids are unique, and a file without
-    records is bad input.
+    The first record that `chunk_map` leaves out, and a file without
+    records, are bad input.
     """
     if not items:
         raise UsageError(f"{path}: no {noun} in the file")
-    documents: list[ContextDocument] = []
-    seen: set[str] = set()
-    for where, item in items:
-        problem = chunk_problem(item, noun)
-        if problem:
-            raise UsageError(f"{path} {where}: {problem}")
-        context_id = str(item["context_id"])
-        if context_id in seen:
-            raise UsageError(f"{path} {where}: duplicate context_id {context_id!r}")
-        seen.add(context_id)
-        documents.append(ContextDocument(body=item["body"], context_id=context_id))
-    return documents
+    chunks, problems = chunk_map(items, noun)
+    if problems:
+        where, problem = problems[0]
+        raise UsageError(f"{path} {where}: {problem}")
+    return chunks
 
 
-def _load_chunks(path: str) -> list[ContextDocument]:
+def _load_chunks(path: str) -> dict[str, str]:
     """Chunks file: a JSON array or JSONL of {context_id, body} objects."""
     text = _read_text(path)
     if text.lstrip().startswith("["):
@@ -327,7 +322,7 @@ def _context_map(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     items = [(f"line {i}", item) for i, item in _read_jsonl(path)]
-    return {doc.context_id: doc.body for doc in _documents(path, items, "context")}
+    return _documents(path, items, "context")
 
 
 def _validate_one(rec: dict[str, Any], contexts: dict[str, str], policy: MatchPolicy) -> dict[str, Any]:
@@ -350,10 +345,13 @@ def _validate_one(rec: dict[str, Any], contexts: dict[str, str], policy: MatchPo
     ids = rec.get("context_ids")
     if not isinstance(answer, str) or not isinstance(ids, list):
         return {"ok": False, "error": "rag record needs answer text and a context_ids list"}
-    missing = [str(i) for i in ids if str(i) not in contexts]
+    ids = [str(i) for i in ids]
+    missing = [i for i in ids if i not in contexts]
     if missing:
         return {"ok": False, "error": f"unknown context_ids {missing}"}
-    chunks = [ContextDocument(body=contexts[str(i)], context_id=str(i)) for i in ids]
+    chunks, problems = chunk_map((i, {"context_id": i, "body": contexts[i]}) for i in ids)
+    if problems:  # every context passed chunk_problem, so the id is a repeat
+        return {"ok": False, "error": problems[0][1]}
     return check_reply(kind, raw, chunks, mode=mode, answer=answer, policy=policy).to_json_value()
 
 
@@ -422,11 +420,15 @@ def _gold_from_record(rec: dict[str, Any]) -> GoldCitationSet | None:
 
 
 def _score_records(path: str) -> list[tuple[int, Any]]:
-    """A --pred or --gold file, every line of it a JSON object."""
+    """A --pred or --gold file, every line of it a JSON object whose citation fields are lists of strings."""
     records = _read_jsonl(path)
     for i, rec in records:
         if not isinstance(rec, dict):
             raise UsageError(f"{path} line {i}: every score record must be a JSON object")
+        for key in ("predicted_citations", "gold", "gold_a", "gold_b"):
+            value = rec.get(key)
+            if value is not None and not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
+                raise UsageError(f"{path} line {i}: {key} must be a list of strings")
     return records
 
 
@@ -444,11 +446,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     by_metric: dict[str, dict[str, list]] = {}
     excluded_halu = 0
     missing_context = 0
-    for i, rec in preds:
-        for key in ("predicted_citations", "gold", "gold_a", "gold_b"):
-            value = rec.get(key)
-            if value is not None and not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
-                raise UsageError(f"{args.pred} line {i}: {key} must be a list of strings")
+    for _, rec in preds:
         name = rec.get("metric") or "overall"
         try:
             name = metric_by_name(str(name)).name.value

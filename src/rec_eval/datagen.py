@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import threading
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import schema_io
@@ -20,7 +21,6 @@ from .errors import SourceRecordError
 from .gateway import CancelledError, CompletionRequest, Gateway, GatewayError
 from .model import (
     CitationMode,
-    ContextDocument,
     EvaluationMetric,
     FilterStatus,
     TaskType,
@@ -34,7 +34,7 @@ from .prompts import (
     build_pointwise_prompt,
     build_quality_prompt,
     build_rag_cite_prompt,
-    chunk_problem,
+    chunk_map,
 )
 from .tokens import estimate_tokens
 from .verify import MatchPolicy, check_reply
@@ -60,20 +60,6 @@ def _names(lookup: Callable[[str], Any], value: Any) -> bool:
         return isinstance(value, str) and lookup(value) is not None
     except KeyError:
         return False
-
-
-def _chunk_violations(chunks: list[Any]) -> list[str]:
-    """Each chunk that breaks `chunk_problem`'s rule, by position, and any repeated id."""
-    out, ids = [], []
-    for n, chunk in enumerate(chunks, start=1):
-        problem = chunk_problem(chunk)
-        if problem:
-            out.append(f"chunk {n}: {problem}")
-        else:
-            ids.append(str(chunk["context_id"]))
-    if len(set(ids)) < len(ids):
-        out.append("chunk context_ids must be unique")
-    return out
 
 
 @dataclass(frozen=True)
@@ -117,7 +103,7 @@ class SourceRecord:
             if not isinstance(chunks, list) or not chunks:
                 out.append("rag record needs a non-empty 'chunks' list")
             else:
-                out += _chunk_violations(chunks)
+                out += [f"{where}: {problem}" for where, problem in self._chunk_map[1]]
             mode = self.inputs.get("mode", "inline")
             if not _names(parse_citation_mode, mode):
                 out.append(f"unknown citation mode {mode!r}")
@@ -127,11 +113,14 @@ class SourceRecord:
                 out.append(f"unknown metric {metric!r}")
         return out
 
-    def chunk_documents(self) -> list[ContextDocument]:
-        return [
-            ContextDocument(body=chunk["body"], context_id=str(chunk["context_id"]))
-            for chunk in self.inputs.get("chunks", ())
-        ]
+    @cached_property
+    def _chunk_map(self) -> tuple[dict[str, str], list[tuple[str, str]]]:
+        chunks = self.inputs.get("chunks", ())
+        return chunk_map((f"chunk {n}", chunk) for n, chunk in enumerate(chunks, start=1))
+
+    def chunks(self) -> dict[str, str]:
+        """The retrieved chunks' bodies by context_id, built once per record."""
+        return self._chunk_map[0]
 
 
 @dataclass
@@ -186,8 +175,7 @@ def _build_prompt(
 ) -> str:
     kind = task.kind
     if kind == "rag":
-        chunks = task.chunk_documents()
-        return build_rag_cite_prompt(chunks, task.inputs["answer"], task.rag_mode(), templates)
+        return build_rag_cite_prompt(task.chunks(), task.inputs["answer"], task.rag_mode(), templates)
     if metric is None:
         raise ValueError(f"{kind} prompts need a metric")
     if kind == "pointwise":
@@ -228,7 +216,7 @@ def filter_one(
         prompt = _build_prompt(task, metric, None)
 
     if kind == "rag":
-        chunks, answer = task.chunk_documents(), task.inputs["answer"]
+        chunks, answer = task.chunks(), task.inputs["answer"]
         checked = check_reply(kind, raw, chunks, mode=task.rag_mode(), answer=answer, policy=policy)
     else:
         source = task.inputs["task_prompt"] if kind == "quality" else None

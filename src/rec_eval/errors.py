@@ -11,10 +11,6 @@ class EmptyRequiredError(RecError):
     """A required input (prompt slot, chunk body, ...) is empty."""
 
 
-class DuplicateContextIdError(RecError):
-    """Two context documents in one request share a context_id."""
-
-
 class ModeMismatchError(RecError):
     """An operation was asked to run under a citation mode it does not support."""
 

@@ -12,7 +12,7 @@ import re
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyInputError, HaluGoldError, LengthMismatchError, SnippetNotFoundError
-from .model import CitationSnippet, ContextDocument, Verdict
+from .model import CitationSnippet, Verdict
 from .verify import MatchPolicy, SourceIndex, normalize, snap_to_sentences
 
 
@@ -66,7 +66,7 @@ def _snap_key(snippet: str, context: SourceIndex, policy: MatchPolicy) -> str:
 def citation_prf(
     predicted: Sequence[CitationSnippet | str],
     gold: GoldCitationSet,
-    context: str | ContextDocument | SourceIndex,
+    context: str | SourceIndex,
     policy: MatchPolicy = MatchPolicy.NORMALIZED,
 ) -> PRF:
     """Sentence-level precision/recall/F1 of predicted citations against gold.

@@ -73,13 +73,6 @@ def metric_by_name(name: str) -> EvaluationMetric:
     raise KeyError(f"unknown metric: {name!r}")
 
 
-class ContextDocument(NamedTuple):
-    """A piece of source text citations are checked against."""
-
-    body: str
-    context_id: str | None = None
-
-
 class CitationMode(str, Enum):
     """How citations are requested from and rendered for the evaluator.
 

@@ -11,10 +11,10 @@ import re
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
-from .errors import DuplicateContextIdError, EmptyRequiredError, TemplateError
-from .model import NO_SUPPORT_ID, CitationMode, ContextDocument, EvaluationMetric
+from .errors import EmptyRequiredError, TemplateError
+from .model import NO_SUPPORT_ID, CitationMode, EvaluationMetric
 
 _SLOT_RE = re.compile(r"\{([a-z][a-z0-9_]*)\}")
 
@@ -114,20 +114,36 @@ def chunk_problem(item: Any, noun: str = "chunk") -> str | None:
     return None
 
 
-def render_chunks_block(chunks: list[ContextDocument]) -> str:
+def chunk_map(items: Iterable[tuple[str, Any]], noun: str = "chunk") -> tuple[dict[str, str], list[tuple[str, str]]]:
+    """The {context_id: body} map of labelled records, and the (label, problem) of each record left out.
+
+    A record is left out when it breaks `chunk_problem`'s rule or repeats the
+    id of a record before it; integer ids become strings.
+    """
+    chunks: dict[str, str] = {}
+    problems: list[tuple[str, str]] = []
+    for label, item in items:
+        problem = chunk_problem(item, noun)
+        if problem is None:
+            context_id = str(item["context_id"])
+            if context_id not in chunks:
+                chunks[context_id] = item["body"]
+                continue
+            problem = f"duplicate context_id {context_id!r}"
+        problems.append((label, problem))
+    return chunks, problems
+
+
+def render_chunks_block(chunks: dict[str, str]) -> str:
     """Chunks in input order as 'ID <context_id>' headers over their bodies."""
     if not chunks:
         raise EmptyRequiredError("at least one retrieved chunk is required")
-    seen: set[str] = set()
     blocks = []
-    for chunk in chunks:
-        if not chunk.context_id:
+    for context_id, body in chunks.items():
+        if not context_id:
             raise EmptyRequiredError("every retrieved chunk needs a context_id")
-        if chunk.context_id in seen:
-            raise DuplicateContextIdError(f"duplicate context_id {chunk.context_id!r}")
-        seen.add(chunk.context_id)
-        _require_text(f"chunk {chunk.context_id} body", chunk.body)
-        blocks.append(f"ID {chunk.context_id}\n{chunk.body}")
+        _require_text(f"chunk {context_id} body", body)
+        blocks.append(f"ID {context_id}\n{body}")
     return "\n\n".join(blocks)
 
 
@@ -150,12 +166,12 @@ def build_quality_prompt(
 
 
 def build_rag_cite_prompt(
-    chunks: list[ContextDocument],
+    chunks: dict[str, str],
     answer: str,
     mode: CitationMode,
     templates: TemplateSet | None = None,
 ) -> str:
-    """Citation prompt over retrieved chunks; steps vary with the mode."""
+    """Citation prompt over retrieved chunks, by context_id; steps vary with the mode."""
     templates = templates or _DEFAULT_TEMPLATES
     slots = {
         "retrieved_chunks": render_chunks_block(chunks),

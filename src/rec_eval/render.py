@@ -15,7 +15,6 @@ from .errors import ClaimNotFoundError, ModeMismatchError
 from .model import (
     NO_SUPPORT_ID,
     CitationMode,
-    ContextDocument,
     QualityEvalOutput,
     RagCitationOutput,
 )
@@ -139,21 +138,20 @@ def render_quality(out: QualityEvalOutput, mode: CitationMode) -> RenderedText:
 def render_rag(
     out: RagCitationOutput,
     answer: str,
-    chunks: list[ContextDocument] | None = None,
+    chunks: dict[str, str] | None = None,
 ) -> RenderedText:
     """Render retrieval citations over the answer they cite.
 
     Inline modes suffix each claim with its [context_id] right where the
     claim ends in the answer; post-fix modes append one marker line after
     the answer. Entries citing the no-support sentinel produce neither a
-    marker nor a reference. chunks, when given, is only used to warn about
-    ids that are not part of the request.
+    marker nor a reference. chunks (bodies by context_id), when given, is
+    only used to warn about ids that are not part of the request.
     """
     warnings: list[str] = []
     if chunks is not None:
-        known = {c.context_id for c in chunks}
         for entry in out.citations:
-            if entry.context_id != NO_SUPPORT_ID and entry.context_id not in known:
+            if entry.context_id != NO_SUPPORT_ID and entry.context_id not in chunks:
                 warnings.append(f"cited context_id {entry.context_id!r} not among chunks")
 
     mode = out.mode

@@ -20,14 +20,12 @@ from typing import Any, NamedTuple
 
 from . import schema_io
 from .errors import (
-    DuplicateContextIdError,
     SnippetNotFoundError,
     UnknownContextIdError,
 )
 from .model import (
     NO_SUPPORT_ID,
     CitationMode,
-    ContextDocument,
     QualityEvalOutput,
     RagCitationOutput,
 )
@@ -107,10 +105,8 @@ class SourceIndex:
         self.body = body
 
     @classmethod
-    def of(cls, source: str | ContextDocument | SourceIndex) -> SourceIndex:
-        if isinstance(source, SourceIndex):
-            return source
-        return cls(source.body if isinstance(source, ContextDocument) else source)
+    def of(cls, source: str | SourceIndex) -> SourceIndex:
+        return source if isinstance(source, SourceIndex) else cls(source)
 
     @cached_property
     def norm(self) -> str:
@@ -165,7 +161,7 @@ class MatchResult(NamedTuple):
 
 def verify_snippet(
     snippet: str,
-    context: str | ContextDocument | SourceIndex,
+    context: str | SourceIndex,
     policy: MatchPolicy = MatchPolicy.NORMALIZED,
 ) -> MatchResult:
     """Locate snippet in context under the given policy.
@@ -244,7 +240,7 @@ class VerificationReport(NamedTuple):
 
 def verify_quality_output(
     out: QualityEvalOutput,
-    context: str | ContextDocument,
+    context: str,
     policy: MatchPolicy = MatchPolicy.NORMALIZED,
 ) -> VerificationReport:
     """Check every cited snippet against the context.
@@ -277,35 +273,28 @@ def verify_quality_output(
 
 def verify_rag_output(
     out: RagCitationOutput,
-    chunks: list[ContextDocument],
+    chunks: dict[str, str],
     answer: str,
     policy: MatchPolicy = MatchPolicy.NORMALIZED,
 ) -> VerificationReport:
     """Check snippets against their cited chunks and claims against the answer.
 
-    Entries citing the no-support sentinel skip the snippet check; a real
-    context_id that matches no chunk raises UnknownContextIdError.
+    chunks maps each context_id to its body. Entries citing the no-support
+    sentinel skip the snippet check; a real context_id that matches no chunk
+    raises UnknownContextIdError.
     """
-    bodies: dict[str, str] = {}
-    for chunk in chunks:
-        if chunk.context_id is None:
-            raise UnknownContextIdError("every chunk needs a context_id")
-        if chunk.context_id in bodies:
-            raise DuplicateContextIdError(f"duplicate context_id {chunk.context_id!r}")
-        bodies[chunk.context_id] = chunk.body
-
     index = cache(SourceIndex)  # each cited chunk and the answer, on first use
     citation_checks: list[CitationCheck] = []
     claim_checks: list[ClaimCheck] = []
     for i, entry in enumerate(out.citations):
-        if entry.context_id != NO_SUPPORT_ID and entry.context_id not in bodies:
+        if entry.context_id != NO_SUPPORT_ID and entry.context_id not in chunks:
             raise UnknownContextIdError(f"cited context_id {entry.context_id!r} not in chunks")
         if entry.snippet is not None and entry.context_id != NO_SUPPORT_ID:
             citation_checks.append(
                 CitationCheck(
                     i,
                     entry.snippet,
-                    verify_snippet(entry.snippet, index(bodies[entry.context_id]), policy),
+                    verify_snippet(entry.snippet, index(chunks[entry.context_id]), policy),
                     context_id=entry.context_id,
                 )
             )
@@ -354,7 +343,7 @@ class ReplyCheck(NamedTuple):
 def check_reply(
     kind: str,
     raw: str,
-    source: str | ContextDocument | list[ContextDocument] | None,
+    source: str | dict[str, str] | None,
     *,
     mode: CitationMode | None = None,
     answer: str | None = None,
@@ -362,9 +351,9 @@ def check_reply(
 ) -> ReplyCheck:
     """Parse a raw evaluator reply, then verify its citations against source.
 
-    kind is "quality" (source is the context), "rag" (source is the chunks;
-    mode and answer are required) or "pointwise" (nothing to verify). With
-    source None only the parse half runs.
+    kind is "quality" (source is the context), "rag" (source maps each chunk's
+    context_id to its body; mode and answer are required) or "pointwise"
+    (nothing to verify). With source None only the parse half runs.
     """
     # Parsers are looked up on the module at call time, where a traced run
     # wraps them.
@@ -384,7 +373,7 @@ def check_reply(
         return ReplyCheck(value, report, verify_quality_output(value, source, policy))
     try:
         verification = verify_rag_output(value, source, answer, policy)  # type: ignore[arg-type]
-    except (UnknownContextIdError, DuplicateContextIdError) as exc:
+    except UnknownContextIdError as exc:
         return ReplyCheck(value, report, error=str(exc))
     return ReplyCheck(value, report, verification)
 
@@ -442,7 +431,7 @@ def segment_sentences(text: str) -> list[tuple[str, tuple[int, int]]]:
 
 def snap_to_sentences(
     snippet: str,
-    context: str | ContextDocument | SourceIndex,
+    context: str | SourceIndex,
     policy: MatchPolicy = MatchPolicy.NORMALIZED,
 ) -> str:
     """Expand snippet to the minimal run of whole context sentences covering it.

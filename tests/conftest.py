@@ -3,8 +3,6 @@ from pathlib import Path
 
 import pytest
 
-from rec_eval import ContextDocument
-
 FIXTURES = Path(__file__).parent / "fixtures"
 
 # filled by the acceptance tests; echoed after the run so the per-criterion
@@ -44,8 +42,5 @@ def photo_answer() -> str:
 
 
 @pytest.fixture
-def photo_chunks() -> list[ContextDocument]:
-    return [
-        ContextDocument(body=item["body"], context_id=item["context_id"])
-        for item in fixture_json("photosynthesis_chunks.json")
-    ]
+def photo_chunks() -> dict[str, str]:
+    return {item["context_id"]: item["body"] for item in fixture_json("photosynthesis_chunks.json")}

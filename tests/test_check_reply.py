@@ -4,7 +4,6 @@ import pytest
 
 from rec_eval import (
     CitationMode,
-    ContextDocument,
     MatchPolicy,
     SourceRecord,
     TaskType,
@@ -43,13 +42,6 @@ def _rag(context_id, snippet, claim=None):
     return json.dumps({"citations": [entry]})
 
 
-def _chunks():
-    return [
-        ContextDocument(body=body, context_id=cid)
-        for cid, body in CHUNKS.items()
-    ]
-
-
 QUALITY_OK = _quality("Refunds take three days.")
 QUALITY_NOT_VERBATIM = _quality("Refunds are never given.")
 # Content-quality citations are matched by text alone; an id they carry is
@@ -83,7 +75,7 @@ CASES = {
 
 
 def _source(kind):
-    return {"quality": CTX, "rag": _chunks(), "pointwise": None}[kind]
+    return {"quality": CTX, "rag": CHUNKS, "pointwise": None}[kind]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -121,7 +113,7 @@ def test_check_reply_rejects_bad_arguments():
     with pytest.raises(ValueError):
         check_reply("pairwise", POINTWISE_OK, None)
     with pytest.raises(ValueError):
-        check_reply("rag", RAG_OK, _chunks(), answer=ANSWER)
+        check_reply("rag", RAG_OK, CHUNKS, answer=ANSWER)
 
 
 # One set of stored replies, judged by all three paths.

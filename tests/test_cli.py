@@ -284,6 +284,18 @@ def test_validate_reports_each_record_at_its_line_in_the_file(tmp_path, capsys):
     assert [r["line"] for r in json.loads(capsys.readouterr().out)["records"]] == [2, 4]
 
 
+def test_validate_rejects_a_repeated_context_id_before_parsing(tmp_path, capsys):
+    contexts = tmp_path / "contexts.jsonl"
+    contexts.write_text(json.dumps({"context_id": "1", "body": CTX}) + "\n", encoding="utf-8")
+    records = tmp_path / "records.jsonl"
+    raw = json.dumps({"citations": [{"context_id": "1"}]})
+    rag = {"kind": "rag", "mode": "postfix", "answer": "Refunds take three days.", "context_ids": ["1", 1], "raw": raw}
+    records.write_text(json.dumps(rag) + "\n", encoding="utf-8")
+    assert main(["validate", "--records", str(records), "--contexts", str(contexts)]) == 2
+    entry = {"ok": False, "error": "duplicate context_id '1'", "line": 1}
+    assert json.loads(capsys.readouterr().out) == {"n": 1, "failed": 1, "records": [entry]}
+
+
 def test_render_quality_from_file(tmp_path, capsys):
     raw = tmp_path / "raw.json"
     raw.write_text(json.dumps(GOOD_REPLY), encoding="utf-8")

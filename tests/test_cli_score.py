@@ -91,3 +91,13 @@ def test_score_with_gold_names_the_line_that_is_not_an_object(tmp_path, capsys, 
     name, line = bad
     assert f"usage error: {paths[name]} line {line}: every score record must be a JSON object" in err
     assert "Traceback" not in err
+
+
+def test_score_with_gold_names_the_file_and_line_of_a_bad_citation_field(tmp_path, capsys):
+    pred, gold = tmp_path / "p1.jsonl", tmp_path / "g1.jsonl"
+    pred.write_text(json.dumps({"predicted_citations": ["a"]}) + "\n", encoding="utf-8")
+    gold.write_text("\n" + json.dumps({"gold": "x"}) + "\n", encoding="utf-8")
+    assert main(["score", "--pred", str(pred), "--gold", str(gold)]) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: {gold} line 2: gold must be a list of strings" in err
+    assert "Traceback" not in err

@@ -127,6 +127,18 @@ def test_a_config_count_that_is_not_an_integer_is_a_usage_error(workdir, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value, minimum", [("timeout_ms", -5, 1), ("timeout_ms", 0, 1), ("max_retries", -3, 0)])
+def test_a_config_count_below_its_minimum_is_a_usage_error(workdir, capsys, key, value, minimum):
+    config = workdir / "config.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    # The value is rejected before any call, so port 1 is never dialled.
+    backend = ["--backend", "http://127.0.0.1:1/v1"] if key == "timeout_ms" else []
+    assert main(_evaluate(workdir) + backend + ["--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: config {config}: {key} must be an integer of at least {minimum}, not {value!r}" in err
+    assert "Traceback" not in err
+
+
 def test_non_utf8_text_input_is_a_usage_error_naming_the_file(workdir, capsys):
     (workdir / "context.txt").write_bytes(b"\xff\xfeT\x00h\x00e\x00")
     assert main(_evaluate(workdir)) == 1
@@ -227,6 +239,41 @@ def _validate(d):
 def _score(d):
     (d / "pred.jsonl").write_text(json.dumps({"context_ref": "a", "gold": []}) + "\n", encoding="utf-8")
     return ["score", "--pred", str(d / "pred.jsonl"), "--contexts", str(d / "contexts.jsonl")]
+
+
+def _cite_chunks(d, chunks):
+    path = d / "chunks.json"
+    path.write_text(json.dumps(chunks), encoding="utf-8")
+    return _cite(d, path.name), f"{path} chunk 2", "chunk"
+
+
+def _validate_contexts(d, chunks):
+    path = d / "contexts.jsonl"
+    path.write_text("".join(json.dumps(c) + "\n" for c in chunks), encoding="utf-8")
+    return _validate(d), f"{path} line 2", "context"
+
+
+def _datagen_chunks(d, chunks):
+    source = {"source_dataset": "demo", "inputs": {"chunks": chunks, "answer": "Cats purr."}}
+    (d / "sources.jsonl").write_text(json.dumps(source) + "\n", encoding="utf-8")
+    argv = _datagen(d)
+    argv[argv.index("cite-quality")] = "cite-rag"
+    return argv, f"{d / 'sources.jsonl'} line 1: chunk 2", "chunk"
+
+
+@pytest.mark.parametrize("command", [_cite_chunks, _validate_contexts, _datagen_chunks], ids=["cite", "validate", "datagen"])
+@pytest.mark.parametrize("chunks, problem", [
+    ([A, dict(B, context_id=None)], "a {noun}'s body must be a string and its context_id a string or an integer"),
+    ([A, dict(B, body=" ")], "a {noun}'s context_id and body must be non-empty"),
+    ([A, dict(B, context_id=NO_SUPPORT_ID)], "a {noun}'s context_id may not be 'None', which marks a claim without support"),
+    ([A, dict(B, context_id=1)], "duplicate context_id '1'"),
+], ids=["null-id", "blank-body", "none-id", "repeated-id"])
+def test_every_command_that_reads_chunks_reports_the_same_problem(workdir, capsys, command, chunks, problem):
+    argv, where, noun = command(workdir, chunks)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: {where}: {problem.format(noun=noun)}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", [_validate, _score])

@@ -5,8 +5,6 @@ import pytest
 
 from rec_eval import (
     CitationMode,
-    ContextDocument,
-    DuplicateContextIdError,
     EmptyRequiredError,
     NO_SUPPORT_ID,
     TemplateError,
@@ -23,10 +21,6 @@ from rec_eval import (
     try_parse_rag_output,
 )
 from rec_eval.prompts import TemplateId
-
-
-def _chunk(cid, body):
-    return ContextDocument(body=body, context_id=cid)
 
 
 def test_quality_prompt_embeds_inputs_and_metric():
@@ -69,17 +63,15 @@ def test_quality_prompt_rejects_empty_inputs():
 
 
 def test_chunks_block_layout():
-    block = render_chunks_block([_chunk("12", "first body"), _chunk("34", "second body")])
+    block = render_chunks_block({"12": "first body", "34": "second body"})
     assert block == "ID 12\nfirst body\n\nID 34\nsecond body"
 
 
 def test_chunks_block_rejects_duplicates_and_empty():
-    with pytest.raises(DuplicateContextIdError):
-        render_chunks_block([_chunk("1", "a"), _chunk("1", "b")])
     with pytest.raises(EmptyRequiredError):
-        render_chunks_block([])
+        render_chunks_block({})
     with pytest.raises(EmptyRequiredError):
-        render_chunks_block([_chunk("1", "  ")])
+        render_chunks_block({"1": "  "})
 
 
 @pytest.mark.parametrize(
@@ -92,7 +84,7 @@ def test_chunks_block_rejects_duplicates_and_empty():
     ],
 )
 def test_rag_prompt_varies_with_mode(mode, wants_claim, wants_snippet):
-    p = build_rag_cite_prompt([_chunk("7", "chunk body")], "the answer", mode)
+    p = build_rag_cite_prompt({"7": "chunk body"}, "the answer", mode)
     assert "RETRIEVED CHUNKS" in p
     assert "LLM GENERATED ANSWER" in p
     assert "ID 7\nchunk body" in p

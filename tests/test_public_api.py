@@ -12,11 +12,12 @@ import rec_eval
 # less inter_rater_agreement (an alias of binary_accuracy) and the names that
 # nothing in the package used (build_grounding_prompt, write_jsonl,
 # InvalidModelError, PromptText, SourceKind, PairwiseJudgment,
-# PresentationOrder), all removed on purpose.
+# PresentationOrder), all removed on purpose. ContextDocument and
+# DuplicateContextIdError went when chunks became a {context_id: body} map.
 EXPORTED = """
 API_KEY_ENV AuthFailureError Backend BackendRefusalError BackendReply CancelledError
 CitationMode CitationSnippet ClaimNotFoundError CompletionRequest CompletionResult
-ContextDocument DEFAULT_TOKENS_PER_WORD DuplicateContextIdError EmptyInputError
+DEFAULT_TOKENS_PER_WORD EmptyInputError
 EmptyRequiredError EvaluationMetric FilterStats FilterStatus Gateway GatewayError
 GoldCitationSet HaluGoldError HttpBackend LengthMismatchError
 MatchPolicy MatchResult MetricName MockBackend ModeMismatchError NO_SUPPORT_ID
@@ -37,7 +38,7 @@ verify_rag_output verify_snippet win_rate
 
 
 def test_exported_names_still_import():
-    assert len(EXPORTED) == 96
+    assert len(EXPORTED) == 94
     missing = [name for name in EXPORTED if not hasattr(rec_eval, name)]
     assert missing == []
     namespace: dict = {}
@@ -156,7 +157,7 @@ def test_only_the_records_that_need_dataclass_features_are_dataclasses():
     # field(default_factory=dict) for its inputs.
     dataclasses_ = sorted(cls.__name__ for cls in _classes_defined_in_package() if dataclasses.is_dataclass(cls))
     assert dataclasses_ == ["FilterStats", "SourceRecord"]
-    assert len(RECORDS) == 26
+    assert len(RECORDS) == 25
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from rec_eval import (
     CitationMode,
-    ContextDocument,
-    DuplicateContextIdError,
     MatchPolicy,
     SnippetNotFoundError,
     UnknownContextIdError,
@@ -137,16 +135,6 @@ def test_verify_rag_unknown_id_raises(photo_chunks, photo_answer):
     )
     with pytest.raises(UnknownContextIdError):
         verify_rag_output(out, photo_chunks, photo_answer)
-
-
-def test_verify_rag_duplicate_chunk_ids_rejected(photo_answer):
-    chunks = [
-        ContextDocument(body="a", context_id="1"),
-        ContextDocument(body="b", context_id="1"),
-    ]
-    out = parse_rag_output('{"citations": [{"context_id": "1"}]}', CitationMode.POST_FIX)
-    with pytest.raises(DuplicateContextIdError):
-        verify_rag_output(out, chunks, photo_answer)
 
 
 def test_verify_rag_none_id_skips_snippet_check(photo_chunks, photo_answer):

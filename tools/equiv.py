@@ -21,8 +21,8 @@ its ``tests/fixtures``. The cases are:
 - ``fixtures/<command>/...``: ``rec`` runs on ``tests/fixtures`` in every
   mode, both match policies and both output formats, with ``--out`` and
   ``--audit-log`` (its lines sorted, each without ``ts`` and ``latency_ms``).
-- ``edge/...``: chunks, contexts, ``score --gold`` and datagen source files
-  that are malformed or empty.
+- ``edge/...``: chunks, contexts, ``validate`` records, ``score --gold`` and
+  datagen source files that are malformed or empty.
 - ``library/s<seed>/b<batch>/c<j>``: ``segment_sentences`` spans of each
   context of ``score`` batches 0-1, and the ``MatchResult`` of
   ``verify_snippet`` and the ``snap_to_sentences`` text of every snippet
@@ -357,9 +357,18 @@ def _edge(work: Path) -> Iterator[tuple[str, Outputs]]:
         path = str(_write(d / f"{name}.jsonl", "".join(json.dumps(c) + "\n" for c in contexts)))
         yield f"edge/validate/{name}", _cli(["validate", "--records", records, "--contexts", path])
         yield f"edge/score/{name}", _cli(["score", "--pred", pred, "--contexts", path])
+    contexts = str(_write(d / "one.jsonl", json.dumps({"context_id": "1", "body": "Cats purr."}) + "\n"))
+    rag = {"kind": "rag", "mode": "postfix", "answer": "Cats purr.", "context_ids": ["1", 1],
+           "raw": {"citations": [{"context_id": "1"}]}}
+    repeated = str(_write(d / "repeated.jsonl", json.dumps(rag) + "\n"))
+    yield "edge/validate/repeated-context-id", _cli(["validate", "--records", repeated, "--contexts", contexts])
     for name, gold in {"gold-object": {}, "gold-not-object": [1]}.items():
         path = str(_write(d / f"{name}.jsonl", json.dumps(gold) + "\n"))
         yield f"edge/score/{name}", _cli(["score", "--pred", pred, "--gold", path])
+    # The bad field is on line 2 of the --gold file; line 1 of --pred is fine.
+    cited = str(_write(d / "cited.jsonl", json.dumps({"predicted_citations": ["a"]}) + "\n"))
+    gold = str(_write(d / "gold-bad-field.jsonl", "\n" + json.dumps({"gold": "x"}) + "\n"))
+    yield "edge/score/gold-bad-field", _cli(["score", "--pred", cited, "--gold", gold])
 
     files = {"out": d / "out.jsonl"}
     rag = {"chunks": [{"context_id": "1", "body": "Cats purr."}], "answer": "Cats purr."}
@@ -367,6 +376,8 @@ def _edge(work: Path) -> Iterator[tuple[str, Outputs]]:
         "null-chunk-id": ("cite-rag", {**rag, "chunks": [{"context_id": None, "body": "Cats purr."}]}),
         "float-chunk-id": ("cite-rag", {**rag, "chunks": [{"context_id": 1.5, "body": "Cats purr."}]}),
         "none-chunk-id": ("cite-rag", {**rag, "chunks": [{"context_id": "None", "body": "Cats purr."}]}),
+        "duplicate-chunk-id": ("cite-rag", {**rag, "chunks": [{"context_id": "a", "body": "Cats purr."},
+                                                              {"context_id": "a", "body": "Dogs bark."}]}),
         "unknown-mode": ("cite-rag", {**rag, "mode": "sideways"}),
         "null-generation": ("cite-quality", {"task_prompt": "Cats purr.", "generation": None}),
         "number-answer": ("pointwise", {"query_with_context": "Cats purr.", "answer": 5}),
